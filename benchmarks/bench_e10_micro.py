@@ -51,11 +51,13 @@ def test_e10_plan_cache_speedup():
     root, _manifest = shared_demo_repo()
     wh = SeismicWarehouse(root, mode="lazy")
     template = fig1_query2_template()
-    _res, cold, _ = wh.db.query_with_report(
-        template, {"network": "NL", "channel": "BHZ"})
+    run = wh.db.open_query(template, {"network": "NL", "channel": "BHZ"})
+    run.drain()
+    cold = run.report
     assert not cold.plan_cache_hit
-    _res, warm, _ = wh.db.query_with_report(
-        template, {"network": "KO", "channel": "BHZ"})
+    run = wh.db.open_query(template, {"network": "KO", "channel": "BHZ"})
+    run.drain()
+    warm = run.report
     assert warm.plan_cache_hit
     assert warm.bind_s == 0.0 and warm.optimize_s == 0.0
     assert cold.plan_s / max(warm.plan_s, 1e-9) >= 3.0

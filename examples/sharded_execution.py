@@ -55,7 +55,9 @@ def main() -> None:
                             "FROM sys.shards ORDER BY shard_id").rows():
             print(f"   {row}")
 
-        report = wh.db.query_with_report(SQL)[1]
+        run = wh.db.open_query(SQL)
+        run.drain()
+        report = run.report
         print(f"\n6. worker-side work folds into the parent report: "
               f"rows_extracted={report.rows_extracted}")
     print("\ndone — workers drained and joined before storage teardown.")

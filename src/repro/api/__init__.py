@@ -5,8 +5,8 @@ Every query surface in the repository is a shim over this layer:
 * ``SeismicWarehouse.connect()`` returns a :class:`Connection`;
 * :class:`~repro.service.service.ClientSession.cursor` exposes the same
   :class:`Cursor` protocol over the concurrent query service;
-* the legacy ``query()`` / ``execute()`` / ``query_with_report()``
-  methods remain as deprecated wrappers.
+* the legacy ``query()`` / ``execute()`` methods remain as deprecated
+  wrappers.
 
 Cursors stream the final projection in row batches (``fetchone`` /
 ``fetchmany`` / ``fetchall`` / iteration), statements accept ``?``

@@ -11,8 +11,7 @@ cursor class therefore serves direct connections and service client
 sessions — the "one entry point everywhere" of the unified API.
 
 Every ``execute`` gives the cursor a fresh, private
-:class:`~repro.db.exec.engine.QueryReport` (:attr:`Cursor.report`),
-replacing the older ``Database.query_with_report`` tuple juggling.
+:class:`~repro.db.exec.engine.QueryReport` (:attr:`Cursor.report`).
 """
 
 from __future__ import annotations

@@ -484,13 +484,16 @@ def run_e10() -> ExperimentTable:
     # prepared re-execution across parameter sets (unified API tentpole).
     wh = SeismicWarehouse(root, mode="lazy")
     template = fig1_query2_template()
-    _res, cold, _trace = wh.db.query_with_report(
-        template, {"network": "NL", "channel": "BHZ"})
+    cold = wh.db.open_query(template, {"network": "NL", "channel": "BHZ"})
+    cold.drain()
+    cold = cold.report
     warm_plans = []
     exec_times = []
     for network in ("KO", "GE", "NL"):
-        _res, rep, _trace = wh.db.query_with_report(
-            template, {"network": network, "channel": "BHZ"})
+        run = wh.db.open_query(template,
+                               {"network": network, "channel": "BHZ"})
+        run.drain()
+        rep = run.report
         warm_plans.append(rep.plan_s)
         exec_times.append(rep.execute_s)
     warm_plan = sum(warm_plans) / len(warm_plans)
@@ -1240,10 +1243,11 @@ def run_e17(*, smoke: bool = False,
                 if wh.cache is not None:
                     wh.cache.clear()
                 wh.db.clear_plan_cache()
-                elapsed, (result, report, _trace) = _timed(
-                    lambda: wh.db.query_with_report(sql))
-                cold_times.append(elapsed)
-                extracted = report.rows_extracted
+                started = time.perf_counter()
+                run = wh.db.open_query(sql)
+                result = run.drain()
+                cold_times.append(time.perf_counter() - started)
+                extracted = run.report.rows_extracted
                 warm, _ = _timed(lambda: wh.query(sql))
                 warm_times.append(warm)
             rows = result.rows()

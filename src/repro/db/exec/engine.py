@@ -18,11 +18,13 @@ epoch (every cached plan becomes unreachable); DML evicts the plans that
 scan the mutated table through the same :meth:`Database._invalidate_for`
 path that already drops recycler intermediates.
 
-Execution comes in two shapes: the classic materialised
-:class:`~repro.db.exec.result.Result`, and :class:`StreamingQuery` — the
-cursor path — which pulls the final projection in row batches so
+Every SELECT runs one way: a :class:`StreamingQuery` pulls row batches
+through the physical plan.  A cursor consumes them as they come, so
 consumption can start before the full result (or, behind a LIMIT, even
-the full extraction) exists.
+the full extraction) exists; :meth:`Database.query`, :meth:`Database.
+execute` and EXPLAIN ANALYZE drain the same stream into one
+:class:`~repro.db.exec.result.Result`.  Whichever consumes it, a query
+gets the same report counters, journal entry and span tree.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import logging
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
@@ -49,6 +52,8 @@ from repro.db.plan.physical import (
     ExecutionContext,
     PhysicalNode,
     build_physical,
+    concat_chunks,
+    iter_chunk_slices,
 )
 from repro.db.sql import ast
 from repro.db.sql.parameters import (
@@ -183,7 +188,7 @@ class _CachedStatement:
 def _fold_trace_counters(report: QueryReport, trace: list[dict]) -> None:
     """Accumulate per-operator trace entries into the query report.
 
-    Shared by the materialised and streaming execution paths so the
+    Shared by the batch executor and the rowpath interpreter so the
     extraction/coalescing/promotion counters can never drift apart.
     """
     for entry in trace:
@@ -267,23 +272,28 @@ class CompletedQuery:
 
 
 class StreamingQuery:
-    """One SELECT being pulled in row batches (the cursor fast path).
+    """One SELECT being pulled through its physical plan.
 
-    The final projection streams out of :meth:`PhysicalNode.
-    execute_batches`: fully streamable plans (scan → filter → project
-    [→ limit]) yield their first rows before the scan's full output is
-    ever materialised, and a LIMIT stops upstream work early.  Plans
-    with pipeline breakers (aggregate, sort, join) materialise at the
-    breaker and stream the tail above it.
+    This is the engine's one SELECT runner.  A cursor pulls
+    :meth:`batches` on demand: fully streamable plans (scan → filter →
+    project [→ limit]) yield their first rows before the scan's full
+    output ever exists, and a LIMIT stops upstream work early.
+    :meth:`drain` runs the same stream to its end and returns one
+    :class:`Result` (``Database.query``, ``Database.execute``, EXPLAIN
+    ANALYZE).
 
-    The per-query :class:`QueryReport` fills progressively;
-    counters and the oplog "done" record land when the stream is
-    exhausted or :meth:`close` is called.
+    The per-query :class:`QueryReport` fills progressively; counters,
+    the journal entry, the span tree and the oplog "done" record land
+    when the stream is exhausted, fails, or :meth:`close` is called.
     """
 
     def __init__(self, db: "Database", entry: _CachedPlan, sql: str,
-                 values: Optional[dict], report: "QueryReport",
-                 batch_rows: int) -> None:
+                 params: ParamValues, report: "QueryReport",
+                 batch_rows: Optional[int], *,
+                 profile: Optional[QueryProfile] = None) -> None:
+        self._values = resolve_param_values(entry.spec, entry.bound_params,
+                                            params)
+        report.params_hash = journal_mod.params_hash(self._values)
         self.db = db
         self.entry = entry
         self.sql = sql
@@ -292,21 +302,23 @@ class StreamingQuery:
         self.names = [c.name for c in entry.optimized.output]
         self.dtypes = [c.dtype for c in entry.optimized.output]
         self.rowcount = -1  # unknown until the stream is exhausted
-        self._values = values
-        report.params_hash = journal_mod.params_hash(values)
-        self._ctx = ExecutionContext(oplog=db.oplog, recycler=db.recycler)
+        if profile is None and db.trace_spans:
+            profile = QueryProfile()
+        self.profile = profile
+        self._batch_rows = batch_rows
+        self._ctx = ExecutionContext(oplog=db.oplog, recycler=db.recycler,
+                                     profile=profile, batch_rows=batch_rows)
         self.trace = self._ctx.trace
         self._finished = False
         db.last_plan_logical = entry.naive
         db.last_plan_optimized = entry.optimized
         db.last_plan_physical = entry.physical
-        db.oplog.record("query", "execute (streaming)",
+        db.oplog.record("query", "execute",
                         sql=sql[:120].replace("\n", " "))
-        self._gen = entry.physical.execute_batches(self._ctx, batch_rows)
+        self._gen = entry.physical.batches(self._ctx)
 
-    def batches(self):
-        """Yield one :class:`Result` per row batch of the projection."""
-        out_cols = self.entry.optimized.output
+    def _chunks(self):
+        """Pull the plan root's chunks, timing every pull."""
         while not self._finished:
             started = time.perf_counter()
             try:
@@ -314,19 +326,31 @@ class StreamingQuery:
                 # interleaved cursors on one thread must each see their
                 # own bindings.
                 with ex.active_params(self._values):
-                    chunk = next(self._gen)
-            except StopIteration:
-                self.report.execute_s += time.perf_counter() - started
-                self._finalize()
-                return
+                    chunk = next(self._gen, None)
             except Exception as exc:
                 self.report.execute_s += time.perf_counter() - started
                 self._finalize(status="error", error=str(exc))
                 raise
             self.report.execute_s += time.perf_counter() - started
+            if chunk is None:
+                self._finalize()
+                return
             self.report.rows_out += chunk.length
-            yield Result(self.names,
-                         [chunk.columns[c.cid] for c in out_cols])
+            yield chunk
+
+    def batches(self):
+        """Yield one :class:`Result` per row batch of the projection."""
+        out_cols = self.entry.optimized.output
+        for chunk in self._chunks():
+            for part in iter_chunk_slices(chunk, self._batch_rows):
+                yield Result(self.names,
+                             [part.columns[c.cid] for c in out_cols])
+
+    def drain(self) -> Result:
+        """Run the stream to its end; the whole result in one piece."""
+        out_cols = self.entry.optimized.output
+        chunk = concat_chunks(list(self._chunks()), out_cols)
+        return Result(self.names, [chunk.columns[c.cid] for c in out_cols])
 
     def close(self) -> None:
         """Abandon the stream (partial consumption still reports)."""
@@ -344,11 +368,9 @@ class StreamingQuery:
         # (e.g. a satisfied LIMIT at the cursor) is a finished query.
         report.journal_id = self.db.journal.record_report(
             report, status=status, error=error)
-        if self.db.trace_spans:
-            # Streaming pulls through execute_batches, which bypasses the
-            # profiled execute path: query-level phases are exact, and
-            # trace events become the execute span's children.
-            report.spans = span_tree(self.sql, report, None, ctx.trace)
+        if self.profile is not None:
+            report.spans = span_tree(self.sql, report, self.profile,
+                                     ctx.trace)
         self.rowcount = report.rows_out
         self.db.last_trace = ctx.trace
         self.db.last_report = report
@@ -378,7 +400,7 @@ class Database:
         journal_capacity: int = journal_mod.DEFAULT_JOURNAL_CAPACITY,
     ) -> None:
         self.catalog = Catalog()
-        # Every finished SELECT (materialised, streaming or rowpath;
+        # Every finished SELECT (batch or rowpath, EXPLAIN ANALYZE too;
         # success or failure) lands in the journal, queryable as
         # sys.queries / sys.sessions on any connection.
         self.journal = journal if journal is not None \
@@ -396,9 +418,8 @@ class Database:
         )
         self.enable_lazy_rewrite = enable_lazy_rewrite
         self.enable_pruning = enable_pruning
-        # When on, every query carries a span tree in ``report.spans``
-        # (operator frames on the materialised path; trace-event spans on
-        # the streaming path, whose operator overrides bypass profiling).
+        # When on, every SELECT carries a span tree in ``report.spans``,
+        # one span per operator, however its batches are consumed.
         self.trace_spans = trace_spans
         self.plan_cache_size = plan_cache_size
         self._plan_cache: \
@@ -425,9 +446,8 @@ class Database:
         """Run any statement; DDL/DML return a one-cell status result."""
         kind, payload, report = self._compile_sql(sql)
         if kind == "select":
-            result, _report, _trace = self._execute_entry(
-                payload, sql, params, report)
-            return result
+            return StreamingQuery(self, payload, sql, params, report,
+                                  None).drain()
         result, _rowcount = self._execute_other(payload, params)
         return result
 
@@ -436,28 +456,8 @@ class Database:
         kind, payload, report = self._compile_sql(sql)
         if kind != "select":
             raise SQLError("query() requires a SELECT statement")
-        result, _report, _trace = self._execute_entry(
-            payload, sql, params, report)
-        return result
-
-    def query_with_report(self, sql: str, params: ParamValues = None
-                          ) -> tuple[Result, QueryReport, list[dict]]:
-        """Run a SELECT and return its private report and trace.
-
-        This is the concurrency-safe entry point the query service uses:
-        each call gets its own :class:`QueryReport` and trace list, so
-        parallel sessions never read each other's ``last_report``.  (The
-        ``last_*`` introspection attributes are still updated — they are
-        last-writer-wins under concurrency, by design.)
-
-        .. deprecated:: prefer a cursor (``repro.api``), whose
-           ``report`` / ``trace`` attributes carry the same data without
-           tuple juggling.
-        """
-        kind, payload, report = self._compile_sql(sql)
-        if kind != "select":
-            raise SQLError("query_with_report() requires a SELECT statement")
-        return self._execute_entry(payload, sql, params, report)
+        return StreamingQuery(self, payload, sql, params, report,
+                              None).drain()
 
     def query_rowpath(self, sql: str, params: ParamValues = None
                       ) -> tuple[Result, QueryReport, list]:
@@ -507,14 +507,14 @@ class Database:
         """Start a statement for cursor-style batched consumption.
 
         SELECTs return a :class:`StreamingQuery` whose batches are pulled
-        on demand; everything else executes immediately and comes back as
-        a :class:`CompletedQuery`.
+        on demand (its ``report`` and ``trace`` are this execution's
+        own, so concurrent sessions never read each other's); everything
+        else executes immediately and comes back as a
+        :class:`CompletedQuery`.
         """
         kind, payload, report = self._compile_sql(sql)
         if kind == "select":
-            values = resolve_param_values(
-                payload.spec, payload.bound_params, params)
-            return StreamingQuery(self, payload, sql, values, report,
+            return StreamingQuery(self, payload, sql, params, report,
                                   batch_rows or DEFAULT_BATCH_ROWS)
         stmt, _spec = payload
         result, rowcount = self._execute_other(payload, params)
@@ -549,19 +549,39 @@ class Database:
 
     # -- compilation & the plan cache ------------------------------------------
 
-    def _compile(self, stmt: ast.SelectStmt) -> tuple[LogicalNode, LogicalNode,
-                                                      PhysicalNode]:
+    def _plan(self, stmt: ast.SelectStmt, spec: Optional[ParamSpec],
+              report: QueryReport) -> _CachedPlan:
+        """Bind, optimise and build one SELECT, timing each phase."""
+        started = time.perf_counter()
         naive = bind_select(self.catalog, stmt)
         # Bind twice: optimisation mutates nodes, and we keep the pre-
         # optimisation plan for EXPLAIN/demo display.
         bound = bind_select(self.catalog, stmt)
+        report.bind_s = time.perf_counter() - started
+        started = time.perf_counter()
         optimized = optimize(
             bound,
             enable_lazy_rewrite=self.enable_lazy_rewrite,
             enable_pruning=self.enable_pruning,
         )
         physical = build_physical(optimized, self.recycler)
-        return naive, optimized, physical
+        report.optimize_s = time.perf_counter() - started
+        return _CachedPlan(
+            stmt=stmt, naive=naive, optimized=optimized, physical=physical,
+            spec=spec, bound_params=collect_bound_params(optimized),
+            tables=frozenset(_plan_tables(optimized)),
+        )
+
+    @contextmanager
+    def _journal_errors(self, report: QueryReport):
+        """Journal a statement that fails before it executes: sys.queries
+        is the full failure record."""
+        try:
+            yield
+        except Exception as exc:
+            report.journal_id = self.journal.record_report(
+                report, status="error", error=str(exc))
+            raise
 
     def _compile_sql(self, sql: str):
         """Lex, consult the plan cache, and (on a miss) parse/bind/optimise.
@@ -590,36 +610,13 @@ class Database:
                 return "select", entry, report
             return "other", (entry.stmt, entry.spec), report
 
-        try:
+        with self._journal_errors(report):
             stmt, spec = parse_prepared(sql)
             report.parse_s = time.perf_counter() - started
             if not isinstance(stmt, ast.SelectStmt):
                 self._store_cache_entry(key, _CachedStatement(stmt, spec))
                 return "other", (stmt, spec), report
-
-            started = time.perf_counter()
-            naive = bind_select(self.catalog, stmt)
-            bound = bind_select(self.catalog, stmt)
-            report.bind_s = time.perf_counter() - started
-            started = time.perf_counter()
-            optimized = optimize(
-                bound,
-                enable_lazy_rewrite=self.enable_lazy_rewrite,
-                enable_pruning=self.enable_pruning,
-            )
-            physical = build_physical(optimized, self.recycler)
-            report.optimize_s = time.perf_counter() - started
-        except Exception as exc:
-            # Statements that never reach execution (parse/bind errors)
-            # still journal: sys.queries is the full failure record.
-            report.journal_id = self.journal.record_report(
-                report, status="error", error=str(exc))
-            raise
-        entry = _CachedPlan(
-            stmt=stmt, naive=naive, optimized=optimized, physical=physical,
-            spec=spec, bound_params=collect_bound_params(optimized),
-            tables=frozenset(_plan_tables(optimized)),
-        )
+            entry = self._plan(stmt, spec, report)
         if self.shard_router is not None:
             entry = self.shard_router.maybe_shard(self, entry)
         self._store_cache_entry(key, entry)
@@ -642,51 +639,6 @@ class Database:
     def clear_plan_cache(self) -> None:
         with self._plan_lock:
             self._plan_cache.clear()
-
-    # -- SELECT execution -------------------------------------------------------
-
-    def _execute_entry(self, entry: _CachedPlan, sql: str,
-                       params: ParamValues, report: QueryReport
-                       ) -> tuple[Result, QueryReport, list[dict]]:
-        values = resolve_param_values(entry.spec, entry.bound_params, params)
-        report.params_hash = journal_mod.params_hash(values)
-
-        self.last_plan_logical = entry.naive
-        self.last_plan_optimized = entry.optimized
-        self.last_plan_physical = entry.physical
-
-        ctx = ExecutionContext(
-            oplog=self.oplog, recycler=self.recycler,
-            profile=QueryProfile() if self.trace_spans else None)
-        self.oplog.record("query", "execute",
-                          sql=sql[:120].replace("\n", " "))
-        started = time.perf_counter()
-        try:
-            with ex.active_params(values):
-                chunk = entry.physical.execute(ctx)
-        except Exception as exc:
-            report.execute_s = time.perf_counter() - started
-            _fill_ctx_counters(report, ctx)
-            report.journal_id = self.journal.record_report(
-                report, status="error", error=str(exc))
-            raise
-        report.execute_s = time.perf_counter() - started
-        report.rows_out = chunk.length
-        _fill_ctx_counters(report, ctx)
-        report.journal_id = self.journal.record_report(report)
-        if ctx.profile is not None:
-            report.spans = span_tree(sql, report, ctx.profile, ctx.trace)
-        self.last_trace = ctx.trace
-        self.last_report = report
-        self.oplog.record(
-            "query", "done",
-            rows=chunk.length,
-            seconds=round(report.execute_s, 4),
-            extracted=ctx.rows_extracted,
-        )
-        names = [c.name for c in entry.optimized.output]
-        columns = [chunk.columns[c.cid] for c in entry.optimized.output]
-        return Result(names, columns), report, ctx.trace
 
     # -- non-SELECT execution ---------------------------------------------------
 
@@ -730,16 +682,16 @@ class Database:
             rowcount
 
     def _explain_select(self, stmt: ast.SelectStmt) -> str:
-        naive, optimized, physical = self._compile(stmt)
+        plan = self._plan(stmt, None, QueryReport())
         sections = [
             "== logical plan (as bound) ==",
-            explain_mod.render_logical(naive),
+            explain_mod.render_logical(plan.naive),
             "",
             "== logical plan (optimised: metadata first, lazy rewrite points) ==",
-            explain_mod.render_logical(optimized),
+            explain_mod.render_logical(plan.optimized),
             "",
             "== physical plan ==",
-            explain_mod.render_physical(physical),
+            explain_mod.render_physical(plan.physical),
         ]
         if self.shard_router is not None:
             extra = self.shard_router.explain_section(self, stmt)
@@ -753,45 +705,15 @@ class Database:
 
         Compiles outside the plan cache on purpose: the rendered tree
         must describe exactly the plan this execution ran, and the timed
-        bind/optimize phases are part of what ANALYZE reports.
+        bind/optimize phases are part of what ANALYZE reports.  The run
+        itself is an ordinary SELECT execution, journaled like any other.
         """
         report = QueryReport(sql=sql)
-        started = time.perf_counter()
-        naive = bind_select(self.catalog, stmt)
-        bound = bind_select(self.catalog, stmt)
-        report.bind_s = time.perf_counter() - started
-        started = time.perf_counter()
-        optimized = optimize(
-            bound,
-            enable_lazy_rewrite=self.enable_lazy_rewrite,
-            enable_pruning=self.enable_pruning,
-        )
-        physical = build_physical(optimized, self.recycler)
-        report.optimize_s = time.perf_counter() - started
-        values = resolve_param_values(
-            spec, collect_bound_params(optimized), params)
-        profile = QueryProfile()
-        ctx = ExecutionContext(oplog=self.oplog, recycler=self.recycler,
-                               profile=profile)
-        self.oplog.record("query", "execute (analyze)",
-                          sql=sql[:120].replace("\n", " "))
-        started = time.perf_counter()
-        with ex.active_params(values):
-            chunk = physical.execute(ctx)
-        report.execute_s = time.perf_counter() - started
-        report.rows_out = chunk.length
-        report.rows_extracted = ctx.rows_extracted
-        report.operators_run = ctx.operators_run
-        report.pages_read = ctx.pages_read
-        report.pages_skipped = ctx.pages_skipped
-        report.pages_skipped_zone = ctx.pages_skipped_zone
-        _fold_trace_counters(report, ctx.trace)
-        report.spans = span_tree(sql, report, profile, ctx.trace)
-        self.last_plan_logical = naive
-        self.last_plan_optimized = optimized
-        self.last_plan_physical = physical
-        self.last_trace = ctx.trace
-        self.last_report = report
+        with self._journal_errors(report):
+            plan = self._plan(stmt, spec, report)
+        run = StreamingQuery(self, plan, sql, params, report, None,
+                             profile=QueryProfile())
+        run.drain()
         summary = (
             f"rows_out={report.rows_out}"
             f"  rows_extracted={report.rows_extracted}"
@@ -800,14 +722,14 @@ class Database:
             f"bind={explain_mod._fmt_s(report.bind_s)}"
             f"  optimize={explain_mod._fmt_s(report.optimize_s)}"
             f"  execute={explain_mod._fmt_s(report.execute_s)}"
-            f"  operators={explain_mod._fmt_s(profile.total_operator_s())}"
+            f"  operators={explain_mod._fmt_s(run.profile.total_operator_s())}"
         )
         sections = [
             "== logical plan (optimised) ==",
-            explain_mod.render_logical(optimized),
+            explain_mod.render_logical(plan.optimized),
             "",
             "== executed plan (actual) ==",
-            explain_mod.render_analyzed(profile, ctx.trace),
+            explain_mod.render_analyzed(run.profile, run.trace),
             "",
             "== execution summary ==",
             summary,

@@ -102,7 +102,7 @@ def render_analyzed(profile, trace: list[dict]) -> str:
         if frame.recycled:
             stats.append("recycled")
         lines.append(f"{pad}{frame.label}  (actual: {', '.join(stats)})")
-        for index in frame.own_trace_indices():
+        for index in frame.trace_indices:
             entry = trace[index]
             op = entry.get("op", "?")
             rest = ", ".join(f"{k}={v}" for k, v in entry.items()

@@ -1,11 +1,20 @@
-"""Physical operators: column-at-a-time execution with materialised
-intermediates, mirroring MonetDB's execution model.
+"""Physical operators: column-at-a-time execution over row batches,
+mirroring MonetDB's execution model.
 
-Every operator's :meth:`~PhysicalNode.execute` returns a fully
-materialised :class:`Chunk`.  That choice is deliberate — the paper's lazy
-loading is "simply caching the result of a view definition (i.e. some of
-the intermediate results)" via the recycler, which requires materialised
-intermediates to exist.
+Pulling batches is the only way a physical plan runs.  Each operator
+has one generator body, :meth:`PhysicalNode._batches`; the base class's
+:meth:`~PhysicalNode.batches` drives it, counting the operator, doing
+the recycler lookup and admission for recyclable nodes, and wrapping
+the iterator in the profiler when one is attached.
+:meth:`~PhysicalNode.execute` is just the concatenation of the batches.
+
+Only leaf scans cut their output to ``ctx.batch_rows``; other operators
+pass their child's batches through, and a pipeline breaker (aggregate,
+sort, lazy fetch) yields its one result chunk.  Breakers concatenate
+their input before running their kernels, so a result is bit-identical
+at every batch size.  Recyclable breakers keep the paper's lazy loading
+as "simply caching the result of a view definition (i.e. some of the
+intermediate results)" via the recycler.
 
 :class:`PLazyFetch` is the run-time rewriting operator of §3.1: executing
 it runs the metadata sub-plan, asks the lazy binding to inject cache-fetch
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, final
 
 import numpy as np
 
@@ -62,6 +71,13 @@ class Chunk:
             length=kept,
         )
 
+    def slice(self, start: int, stop: int) -> "Chunk":
+        return Chunk(
+            columns={cid: col.slice(start, stop)
+                     for cid, col in self.columns.items()},
+            length=stop - start,
+        )
+
     def memory_bytes(self) -> int:
         return sum(col.memory_bytes() for col in self.columns.values())
 
@@ -90,28 +106,26 @@ class ExecutionContext:
     # later file change can never be served from a cached intermediate.
     file_deps: dict = field(default_factory=dict)
     # Operator-level profiling (EXPLAIN ANALYZE / span tracing): a
-    # repro.obs.tracing.QueryProfile, or None for unprofiled execution —
-    # the default keeps the hot path identical to before.
+    # repro.obs.tracing.QueryProfile, or None for unprofiled execution.
     profile: Optional[object] = None
+    # Rows per batch that leaf scans cut their output to; None lets each
+    # leaf yield whole (a resident table in one chunk, a disk table one
+    # page at a time).
+    batch_rows: Optional[int] = None
 
 
 DEFAULT_BATCH_ROWS = 4096
-"""Row granularity of streamed execution (cursor fetch path)."""
+"""Row granularity of cursor execution when the caller names none."""
 
 
-def iter_chunk_slices(chunk: Chunk, batch_rows: int):
-    """Split one materialised chunk into row-sliced batches (views)."""
-    if chunk.length <= batch_rows:
+def iter_chunk_slices(chunk: Chunk, batch_rows: Optional[int]):
+    """Split one chunk into row-sliced batches (views); drop it if empty."""
+    if batch_rows is None or chunk.length <= batch_rows:
         if chunk.length:
             yield chunk
         return
     for start in range(0, chunk.length, batch_rows):
-        stop = min(start + batch_rows, chunk.length)
-        yield Chunk(
-            columns={cid: col.slice(start, stop)
-                     for cid, col in chunk.columns.items()},
-            length=stop - start,
-        )
+        yield chunk.slice(start, min(start + batch_rows, chunk.length))
 
 
 def _distinct_key(value):
@@ -121,8 +135,8 @@ def _distinct_key(value):
     return value
 
 
-def _concat_chunks(chunks: list[Chunk], schema: list[lg.OutCol]) -> Chunk:
-    """Reassemble streamed batches into one chunk (pipeline breakers)."""
+def concat_chunks(chunks: list[Chunk], schema: list[lg.OutCol]) -> Chunk:
+    """Reassemble batches into one chunk (pipeline breakers, execute)."""
     chunks = [c for c in chunks if c.length]
     if not chunks:
         return Chunk.empty(schema)
@@ -161,24 +175,39 @@ class PhysicalNode:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        """Yield the operator's output in row batches.
+    @final
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        """Pull the operator's output batch by batch.
 
-        The default materialises (via :meth:`execute`, so recycler hits
-        and admissions still apply) and slices the result.  Streamable
-        operators — scans, filters, projections, limits — override this
-        to pull row batches through without materialising the whole
-        output first, which lets a cursor consume the head of a large
-        result while the tail has not been produced, and lets LIMIT stop
-        pulling (and thus stop extracting) early.
+        Nothing runs until the first pull, so an operator whose consumer
+        stops early (a satisfied LIMIT, an abandoned cursor) never pays
+        for the rest — or, behind LIMIT 0, for anything at all.
         """
-        yield from iter_chunk_slices(self.execute(ctx), batch_rows)
+        pulled = self._pull(ctx)
+        if ctx.profile is not None:
+            return ctx.profile.wrap(self, pulled, ctx)
+        return pulled
+
+    @final
+    def execute(self, ctx: ExecutionContext) -> Chunk:
+        """Run to completion: the concatenation of :meth:`batches`."""
+        return concat_chunks(list(self.batches(ctx)), self.schema)
+
+    def _pull(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        ctx.operators_run += 1
+        signature = self.signature if ctx.recycler is not None else None
+        if signature is None:
+            yield from self._batches(ctx)
+            return
+        chunk = self._recycler_lookup(ctx, signature)
+        if chunk is None:
+            chunk = concat_chunks(list(self._batches(ctx)), self.schema)
+            self._recycler_admit(ctx, signature, chunk)
+        if chunk.length:
+            yield chunk
 
     def _recycler_lookup(self, ctx: ExecutionContext,
-                         signature: Optional[str]) -> Optional[Chunk]:
-        if signature is None:
-            return None
+                         signature: str) -> Optional[Chunk]:
         cached = ctx.recycler.lookup_validated(signature)
         if cached is None:
             return None
@@ -197,10 +226,8 @@ class PhysicalNode:
             length=length,
         )
 
-    def _recycler_admit(self, ctx: ExecutionContext,
-                        signature: Optional[str], chunk: Chunk) -> None:
-        if signature is None:
-            return
+    def _recycler_admit(self, ctx: ExecutionContext, signature: str,
+                        chunk: Chunk) -> None:
         ctx.recycler.admit(
             signature,
             [chunk.columns[c.cid] for c in self.schema],
@@ -208,56 +235,8 @@ class PhysicalNode:
             depends=dict(ctx.file_deps) if ctx.file_deps else None,
         )
 
-    def execute(self, ctx: ExecutionContext) -> Chunk:
-        if ctx.profile is not None:
-            return self._execute_profiled(ctx)
-        ctx.operators_run += 1
-        signature = self.signature if ctx.recycler is not None else None
-        cached = self._recycler_lookup(ctx, signature)
-        if cached is not None:
-            return cached
-        chunk = self._run(ctx)
-        self._recycler_admit(ctx, signature, chunk)
-        return chunk
-
-    def _execute_profiled(self, ctx: ExecutionContext) -> Chunk:
-        """:meth:`execute` with an OpFrame recording time/rows/pages.
-
-        Frames nest through the profile's stack, so recursive child
-        ``execute`` calls land as child frames; the trace window
-        [trace_begin, trace_end) later attributes extraction events to
-        the operator that caused them.
-        """
-        profile = ctx.profile
-        frame = profile.enter(self)
-        pages_before = ctx.pages_read
-        trace_begin = len(ctx.trace)
-        recycled = False
-        rows_out = 0
-        started = time.perf_counter()
-        try:
-            ctx.operators_run += 1
-            signature = self.signature if ctx.recycler is not None else None
-            chunk = self._recycler_lookup(ctx, signature)
-            if chunk is not None:
-                recycled = True
-            else:
-                chunk = self._run(ctx)
-                self._recycler_admit(ctx, signature, chunk)
-            rows_out = chunk.length
-            return chunk
-        finally:
-            profile.exit(
-                frame,
-                elapsed_s=time.perf_counter() - started,
-                rows_out=rows_out,
-                pages_read=ctx.pages_read - pages_before,
-                trace_begin=trace_begin,
-                trace_end=len(ctx.trace),
-                recycled=recycled,
-            )
-
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    def _batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        """The operator's one execution body (a generator of chunks)."""
         raise NotImplementedError
 
 
@@ -438,36 +417,22 @@ class PTableScan(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"TableScan {self.qualified_name} [{cols}]"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        columns = {c.cid: self.table.column(c.name) for c in self.schema}
-        ctx.oplog.record("scan", f"scan {self.qualified_name}",
-                         rows=self.table.row_count,
-                         columns=len(self.schema))
-        return Chunk(columns=columns, length=self.table.row_count)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        # Stream row slices: downstream streamable operators (and the
-        # cursor) see the first rows before the scan's full output ever
-        # exists as one materialised chunk.
-        ctx.operators_run += 1
-        columns = {c.cid: self.table.column(c.name) for c in self.schema}
+    def _batches(self, ctx: ExecutionContext):
+        # Downstream operators (and the cursor) see the first rows before
+        # the scan's full output ever exists as one chunk.
         total = self.table.row_count
+        whole = Chunk({c.cid: self.table.column(c.name) for c in self.schema},
+                      total)
         streamed = 0
         try:
-            for start in range(0, total, batch_rows):
-                stop = min(start + batch_rows, total)
-                yield Chunk(
-                    columns={cid: col.slice(start, stop)
-                             for cid, col in columns.items()},
-                    length=stop - start,
-                )
-                streamed = stop
+            for chunk in iter_chunk_slices(whole, ctx.batch_rows):
+                yield chunk
+                streamed += chunk.length
         finally:
             # Recorded on completion (or abandonment, e.g. a satisfied
             # LIMIT) so the oplog reflects rows actually streamed.
             ctx.oplog.record(
-                "scan", f"scan {self.qualified_name} (streamed)",
+                "scan", f"scan {self.qualified_name}",
                 rows=streamed, of=total, columns=len(self.schema),
             )
 
@@ -475,10 +440,10 @@ class PTableScan(PhysicalNode):
 class PSystemScan(PhysicalNode):
     """Scan a :class:`~repro.db.table.SystemTable` provider snapshot.
 
-    The provider is sampled exactly once per execution (materialised or
-    streamed), so every column — and every batch of a streamed scan —
-    describes one consistent instant of runtime state, even while other
-    sessions keep appending journal entries or bumping counters.
+    The provider is sampled exactly once per execution, so every column
+    — and every batch of the scan — describes one consistent instant of
+    runtime state, even while other sessions keep appending journal
+    entries or bumping counters.
     """
 
     def __init__(self, node: lg.LScan) -> None:
@@ -490,23 +455,12 @@ class PSystemScan(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"SystemScan {self.qualified_name} [{cols}]"
 
-    def _snapshot(self, ctx: ExecutionContext) -> Chunk:
+    def _batches(self, ctx: ExecutionContext):
         by_name, length = self.table.snapshot_columns()
         ctx.oplog.record("scan", f"scan {self.qualified_name} (system)",
                          rows=length, columns=len(self.schema))
-        return Chunk(
-            columns={c.cid: by_name[c.name] for c in self.schema},
-            length=length,
-        )
-
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        return self._snapshot(ctx)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        ctx.operators_run += 1
-        chunk = self._snapshot(ctx)
-        yield from iter_chunk_slices(chunk, batch_rows)
+        chunk = Chunk({c.cid: by_name[c.name] for c in self.schema}, length)
+        yield from iter_chunk_slices(chunk, ctx.batch_rows)
 
 
 # -- zone-map page pruning ---------------------------------------------------
@@ -590,7 +544,7 @@ def _zone_dead(zone: "tuple | None", op: str, value) -> bool:
     return False
 
 
-class PDiskScan(PhysicalNode):
+class PDiskScan(PTableScan):
     """Scan a disk-backed table, faulting in only the needed columns.
 
     This is lazy ETL extended into lazy I/O: the table's rows live in a
@@ -608,9 +562,7 @@ class PDiskScan(PhysicalNode):
     """
 
     def __init__(self, node: lg.LScan) -> None:
-        super().__init__(node.output)
-        self.table = node.table
-        self.qualified_name = node.qualified_name
+        super().__init__(node)
         # (col, op, value_expr) triples installed by build_physical when
         # a filter sits directly above this scan.
         self.prune_conjuncts: list[tuple] = []
@@ -656,141 +608,70 @@ class PDiskScan(PhysicalNode):
                     dead.add(page)
         return dead
 
-    def _page_offsets(self, backing) -> "tuple[list[int], list[int]]":
-        """(row counts, row start offsets) of this table's page grid.
+    def _batches(self, ctx: ExecutionContext):
+        """One loop over the pages the zone maps leave alive.
 
-        Table segments are uniform (every column paginated identically),
-        so any projected column describes the shared layout.
+        Pages are read through the buffer pool one at a time, so a LIMIT
+        that stops pulling stops the reads too.  Columns already resident
+        are sliced to the same page so rows stay aligned.  A column read
+        whole, by a scan that ran to completion, becomes the table's
+        resident copy; a partial one never does.
         """
-        counts = backing.page_row_counts(self.schema[0].name)
-        offsets = [0]
-        for count in counts:
-            offsets.append(offsets[-1] + count)
-        return counts, offsets
-
-    def _run(self, ctx: ExecutionContext) -> Chunk:
         backing = self.table.disk_backing
         if backing is None:
-            # Mutated since planning: fall back to the resident columns.
-            columns = {c.cid: self.table.column(c.name) for c in self.schema}
-            return Chunk(columns=columns, length=self.table.row_count)
-        dead = (self._dead_pages(backing)
-                if ctx.zone_pruning and self.prune_conjuncts and self.schema
-                else set())
-        if dead:
-            return self._run_pruned(ctx, backing, dead)
-        pool_stats = backing.store.pool.stats
-        reads_before = pool_stats.disk_reads
-        columns: dict[int, Column] = {}
-        needed_pages = 0
-        for c in self.schema:
-            needed_pages += backing.pages_of(c.name)
-            columns[c.cid] = self.table.column(c.name)
-        pages_read = pool_stats.disk_reads - reads_before
-        pages_skipped = backing.total_pages() - needed_pages
-        ctx.pages_read += pages_read
-        ctx.pages_skipped += pages_skipped
-        ctx.trace.append({
-            "op": "disk_scan",
-            "table": self.qualified_name,
-            "columns": [c.name for c in self.schema],
-            "pages_read": pages_read,
-            "pages_skipped": pages_skipped,
-        })
-        ctx.oplog.record(
-            "scan", f"disk scan {self.qualified_name}",
-            rows=backing.row_count, columns=len(self.schema),
-            pages_read=pages_read, pages_skipped=pages_skipped,
-        )
-        return Chunk(columns=columns, length=backing.row_count)
-
-    def _run_pruned(self, ctx: ExecutionContext, backing,
-                    dead: set[int]) -> Chunk:
-        """Read only pages the zone maps could not condemn.
-
-        Bypasses the table's column-fault cache on purpose: a partial
-        column must never become the table's resident copy.  Columns
-        already resident are sliced to the same page subset so rows stay
-        aligned.
-        """
-        from repro.storage.segment import IOCounter
-
-        counts, offsets = self._page_offsets(backing)
-        keep = [i for i in range(len(counts)) if i not in dead]
-        io = IOCounter()
-        columns: dict[int, Column] = {}
-        zone_skipped = 0
-        for c in self.schema:
-            if self.table.is_column_resident(c.name):
-                full = self.table.column(c.name)
-                parts = [full.slice(offsets[i], offsets[i + 1]) for i in keep]
-                columns[c.cid] = (Column.concat(parts) if len(parts) > 1
-                                  else parts[0] if parts
-                                  else full.slice(0, 0))
-            else:
-                columns[c.cid] = backing.load_column_pages(c.name, keep, io)
-                zone_skipped += len(dead)
-        length = sum(counts[i] for i in keep)
-        pages_skipped = backing.total_pages() - sum(
-            backing.pages_of(c.name) for c in self.schema)
-        ctx.pages_read += io.disk_reads
-        ctx.pages_skipped += pages_skipped
-        ctx.pages_skipped_zone += zone_skipped
-        ctx.trace.append({
-            "op": "disk_scan",
-            "table": self.qualified_name,
-            "columns": [c.name for c in self.schema],
-            "pages_read": io.disk_reads,
-            "pages_skipped": pages_skipped,
-            "pages_skipped_zone": zone_skipped,
-            "zone_dead_pages": len(dead),
-        })
-        ctx.oplog.record(
-            "scan", f"disk scan {self.qualified_name} (zone-pruned)",
-            rows=length, of=backing.row_count, columns=len(self.schema),
-            pages_read=io.disk_reads, pages_skipped=pages_skipped,
-            pages_skipped_zone=zone_skipped,
-        )
-        return Chunk(columns=columns, length=length)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        backing = self.table.disk_backing
-        if backing is None or not self.schema:
-            yield from super().execute_batches(ctx, batch_rows)
+            # Mutated since planning: the table's columns are resident.
+            yield from super()._batches(ctx)
             return
-        ctx.operators_run += 1
         from repro.storage.segment import IOCounter
 
         dead = (self._dead_pages(backing)
                 if ctx.zone_pruning and self.prune_conjuncts else set())
-        counts, offsets = self._page_offsets(backing)
         resident = {c.cid: self.table.column(c.name) for c in self.schema
                     if self.table.is_column_resident(c.name)}
+        paged = [c for c in self.schema if c.cid not in resident]
+        whole: Optional[dict[int, list[Column]]] = (
+            None if dead else {c.cid: [] for c in paged})
+        pages_skipped = backing.total_pages() - sum(
+            backing.pages_of(c.name) for c in self.schema)
+        ctx.pages_skipped += pages_skipped
         io = IOCounter()
-        streamed = 0
-        zone_skipped = 0
+        # Table segments paginate every column identically; with every
+        # projected column resident and no page dead, nothing is read
+        # and the whole table is one "page".
+        counts = (backing.page_row_counts(self.table.schema.names[0])
+                  if paged or dead else [backing.row_count])
+        streamed = zone_skipped = stop = 0
         try:
-            for page in range(len(counts)):
+            for page, count in enumerate(counts):
+                start, stop = stop, stop + count
                 if page in dead:
-                    zone_skipped += len(self.schema) - len(resident)
+                    zone_skipped += len(paged)
+                    ctx.pages_skipped_zone += len(paged)
                     continue
-                start, stop = offsets[page], offsets[page + 1]
-                cols = {
+                reads = io.disk_reads
+                columns = {
                     c.cid: (resident[c.cid].slice(start, stop)
                             if c.cid in resident
                             else backing.load_column_pages(c.name, [page], io))
                     for c in self.schema
                 }
-                chunk = Chunk(columns=cols, length=stop - start)
-                streamed += chunk.length
-                yield from iter_chunk_slices(chunk, batch_rows)
+                ctx.pages_read += io.disk_reads - reads
+                if whole is not None:
+                    for c in paged:
+                        whole[c.cid].append(columns[c.cid])
+                for chunk in iter_chunk_slices(Chunk(columns, count),
+                                               ctx.batch_rows):
+                    yield chunk
+                    streamed += chunk.length
+            if whole and self.table.disk_backing is backing:
+                for c in paged:
+                    parts = whole[c.cid]
+                    if parts:
+                        self.table.install_column(
+                            c.name,
+                            parts[0] if len(parts) == 1
+                            else Column.concat(parts))
         finally:
-            pages_skipped = backing.total_pages() - sum(
-                backing.pages_of(c.name) for c in self.schema)
-            ctx.pages_read += io.disk_reads
-            ctx.pages_skipped += pages_skipped
-            ctx.pages_skipped_zone += zone_skipped
             ctx.trace.append({
                 "op": "disk_scan",
                 "table": self.qualified_name,
@@ -801,7 +682,7 @@ class PDiskScan(PhysicalNode):
                 "zone_dead_pages": len(dead),
             })
             ctx.oplog.record(
-                "scan", f"disk scan {self.qualified_name} (streamed)",
+                "scan", f"disk scan {self.qualified_name}",
                 rows=streamed, of=backing.row_count,
                 columns=len(self.schema),
                 pages_read=io.disk_reads, pages_skipped=pages_skipped,
@@ -821,7 +702,7 @@ class PScanAll(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"LazyScanAll {self.table_name} [{cols}] (full repository!)"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    def _batches(self, ctx: ExecutionContext):
         started = time.perf_counter()
         trace_start = len(ctx.trace)
         named = self.binding.scan_all([c.name for c in self.schema], ctx.trace)
@@ -834,7 +715,7 @@ class PScanAll(PhysicalNode):
             rows=length, seconds=round(elapsed, 4),
         )
         columns = {c.cid: named[c.name] for c in self.schema}
-        return Chunk(columns=columns, length=length)
+        yield from iter_chunk_slices(Chunk(columns, length), ctx.batch_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -854,19 +735,8 @@ class PFilter(PhysicalNode):
     def describe(self) -> str:
         return f"Filter {self.predicate!r}"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        if chunk.length == 0:
-            return chunk
-        mask = ex.predicate_mask(
-            self.predicate.eval(chunk.columns, chunk.length)
-        )
-        return chunk.filter(mask)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        ctx.operators_run += 1
-        for chunk in self.child.execute_batches(ctx, batch_rows):
+    def _batches(self, ctx: ExecutionContext):
+        for chunk in self.child.batches(ctx):
             mask = ex.predicate_mask(
                 self.predicate.eval(chunk.columns, chunk.length)
             )
@@ -888,17 +758,8 @@ class PProject(PhysicalNode):
         cols = ", ".join(c.name for c in self.schema)
         return f"Project [{cols}]"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        columns = {}
-        for out, expr in zip(self.schema, self.exprs):
-            columns[out.cid] = expr.eval(chunk.columns, chunk.length)
-        return Chunk(columns=columns, length=chunk.length)
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        ctx.operators_run += 1
-        for chunk in self.child.execute_batches(ctx, batch_rows):
+    def _batches(self, ctx: ExecutionContext):
+        for chunk in self.child.batches(ctx):
             columns = {}
             for out, expr in zip(self.schema, self.exprs):
                 columns[out.cid] = expr.eval(chunk.columns, chunk.length)
@@ -940,18 +801,12 @@ class PSort(PhysicalNode):
         order = np.lexsort(tuple(reversed(lexsort_keys)))
         return chunk.take(order)
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        return self._sorted(self.child.execute(ctx))
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        # Sort is a pipeline breaker, but its *input* still streams: child
-        # batches accumulate (the natural spill point), are sorted once,
-        # and the output re-streams in batch_rows slices.
-        ctx.operators_run += 1
-        chunks = list(self.child.execute_batches(ctx, batch_rows))
-        merged = _concat_chunks(chunks, self.child.schema)
-        yield from iter_chunk_slices(self._sorted(merged), batch_rows)
+    def _batches(self, ctx: ExecutionContext):
+        # A pipeline breaker: its input streams in, is sorted once, and
+        # leaves as one chunk.
+        chunk = self._sorted(self.child.execute(ctx))
+        if chunk.length:
+            yield chunk
 
 
 class PLimit(PhysicalNode):
@@ -967,41 +822,23 @@ class PLimit(PhysicalNode):
     def describe(self) -> str:
         return f"Limit {self.limit} OFFSET {self.offset}"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        start = self.offset
-        stop = chunk.length if self.limit is None else start + self.limit
-        columns = {cid: col.slice(start, stop)
-                   for cid, col in chunk.columns.items()}
-        return Chunk(columns=columns, length=max(0, min(stop, chunk.length) - start))
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
+    def _batches(self, ctx: ExecutionContext):
         # Genuinely lazy LIMIT: stop pulling child batches (and whatever
         # work upstream would have done to produce them) once satisfied.
-        ctx.operators_run += 1
         to_skip = self.offset
         remaining = self.limit  # None = unbounded
         if remaining is not None and remaining <= 0:
             # LIMIT 0 must not pull (and thus extract) a single child batch.
             return
-        for chunk in self.child.execute_batches(ctx, batch_rows):
+        for chunk in self.child.batches(ctx):
             if to_skip:
                 if chunk.length <= to_skip:
                     to_skip -= chunk.length
                     continue
-                chunk = Chunk(
-                    columns={cid: col.slice(to_skip, chunk.length)
-                             for cid, col in chunk.columns.items()},
-                    length=chunk.length - to_skip,
-                )
+                chunk = chunk.slice(to_skip, chunk.length)
                 to_skip = 0
             if remaining is not None and chunk.length > remaining:
-                chunk = Chunk(
-                    columns={cid: col.slice(0, remaining)
-                             for cid, col in chunk.columns.items()},
-                    length=remaining,
-                )
+                chunk = chunk.slice(0, remaining)
             if chunk.length:
                 yield chunk
             if remaining is not None:
@@ -1021,34 +858,28 @@ class PDistinct(PhysicalNode):
     def describe(self) -> str:
         return "Distinct"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        chunk = self.child.execute(ctx)
-        if chunk.length == 0:
-            return chunk
-        codes = _combined_codes([chunk.columns[c.cid] for c in self.schema])
-        _uniques, first = np.unique(codes, return_index=True)
-        return chunk.take(np.sort(first))
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
+    def _batches(self, ctx: ExecutionContext):
         # Streaming first-occurrence dedup: each batch is first collapsed
         # vectorised (codes are batch-local), then the handful of batch
         # survivors is checked against the distinct rows seen so far.
-        # Emission order — first global occurrence — matches _run exactly.
-        ctx.operators_run += 1
-        seen: set = set()
-        for chunk in self.child.execute_batches(ctx, batch_rows):
-            if chunk.length == 0:
+        # Emission order — first global occurrence — is the same at
+        # every batch size.
+        seen: Optional[set] = None
+        first: Optional[Chunk] = None
+        for chunk in self.child.batches(ctx):
+            codes = _combined_codes([chunk.columns[c.cid] for c in self.schema])
+            _uniques, firsts = np.unique(codes, return_index=True)
+            local = chunk.take(np.sort(firsts))
+            if first is None:
+                # The first batch is all new; its keys are hashed only if
+                # a second batch arrives.
+                first = local
+                yield local
                 continue
-            cols = [chunk.columns[c.cid] for c in self.schema]
-            codes = _combined_codes(cols)
-            _uniques, first = np.unique(codes, return_index=True)
-            local = chunk.take(np.sort(first))
-            local_cols = [local.columns[c.cid] for c in self.schema]
+            if seen is None:
+                seen = set(self._row_keys(first))
             fresh = np.zeros(local.length, dtype=bool)
-            for i in range(local.length):
-                key = tuple(_distinct_key(col.value_at(i))
-                            for col in local_cols)
+            for i, key in enumerate(self._row_keys(local)):
                 if key not in seen:
                     seen.add(key)
                     fresh[i] = True
@@ -1056,6 +887,11 @@ class PDistinct(PhysicalNode):
                 yield local
             elif fresh.any():
                 yield local.filter(fresh)
+
+    def _row_keys(self, chunk: Chunk):
+        cols = [chunk.columns[c.cid] for c in self.schema]
+        for i in range(chunk.length):
+            yield tuple(_distinct_key(col.value_at(i)) for col in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,53 +924,6 @@ class PJoin(PhysicalNode):
             base += f" residual {self.residual!r}"
         return base
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        left = self.left.execute(ctx)
-        right = self.right.execute(ctx)
-        if self.left_keys:
-            left_cols = [left.columns[cid] for cid in self.left_keys]
-            right_cols = [right.columns[cid] for cid in self.right_keys]
-            left_idx, right_idx, _counts = join_indices(left_cols, right_cols)
-        else:
-            # Cross product (kept small by the optimiser in practice).
-            left_idx = np.repeat(np.arange(left.length), right.length)
-            right_idx = np.tile(np.arange(right.length), left.length)
-
-        if self.residual is not None and len(left_idx):
-            frame = {}
-            for cid, col in left.columns.items():
-                frame[cid] = col.take(left_idx)
-            for cid, col in right.columns.items():
-                frame[cid] = col.take(right_idx)
-            mask = ex.predicate_mask(
-                self.residual.eval(frame, len(left_idx))
-            )
-            left_idx = left_idx[mask]
-            right_idx = right_idx[mask]
-
-        if self.kind == "left":
-            matched = np.zeros(left.length, dtype=bool)
-            if len(left_idx):
-                matched[left_idx] = True
-            missing = np.flatnonzero(~matched)
-            pad = len(missing)
-            left_idx = np.concatenate([left_idx, missing])
-            columns: dict[int, Column] = {}
-            for cid, col in left.columns.items():
-                columns[cid] = col.take(left_idx)
-            for cid, col in right.columns.items():
-                taken = col.take(right_idx)
-                padded = Column.concat([taken, Column.nulls(col.dtype, pad)])
-                columns[cid] = padded
-            return Chunk(columns=columns, length=len(left_idx))
-
-        columns = {}
-        for cid, col in left.columns.items():
-            columns[cid] = col.take(left_idx)
-        for cid, col in right.columns.items():
-            columns[cid] = col.take(right_idx)
-        return Chunk(columns=columns, length=len(left_idx))
-
     def _probe_batch(self, batch: Chunk, right: Chunk
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Match one left batch against the materialised build side."""
@@ -1158,17 +947,15 @@ class PJoin(PhysicalNode):
             right_idx = right_idx[mask]
         return left_idx, right_idx
 
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
+    def _batches(self, ctx: ExecutionContext):
         # Streamed hash join: materialise the (metadata-sized) build side
         # once, probe with each left batch as it arrives.  Inner/cross
         # matches flow straight through; a left join holds back only its
         # unmatched rows, emitting the NULL-padded tail last — the same
-        # global row order _run produces.
-        ctx.operators_run += 1
+        # global row order at every batch size.
         right = self.right.execute(ctx)
         unmatched: list[Chunk] = []
-        for batch in self.left.execute_batches(ctx, batch_rows):
+        for batch in self.left.batches(ctx):
             left_idx, right_idx = self._probe_batch(batch, right)
             if self.kind == "left":
                 matched = np.zeros(batch.length, dtype=bool)
@@ -1182,15 +969,13 @@ class PJoin(PhysicalNode):
                        for cid, col in batch.columns.items()}
             for cid, col in right.columns.items():
                 columns[cid] = col.take(right_idx)
-            yield from iter_chunk_slices(
-                Chunk(columns=columns, length=len(left_idx)), batch_rows)
+            yield Chunk(columns=columns, length=len(left_idx))
         if self.kind == "left" and unmatched:
-            tail = _concat_chunks(unmatched, self.left.schema)
+            tail = concat_chunks(unmatched, self.left.schema)
             columns = dict(tail.columns)
             for cid, col in right.columns.items():
                 columns[cid] = Column.nulls(col.dtype, tail.length)
-            yield from iter_chunk_slices(
-                Chunk(columns=columns, length=tail.length), batch_rows)
+            yield Chunk(columns=columns, length=tail.length)
 
 
 # ---------------------------------------------------------------------------
@@ -1229,28 +1014,14 @@ class PAggregate(PhysicalNode):
         aggs = ", ".join(repr(a) for a in self.aggregates)
         return f"Aggregate groups=[{groups}] aggs=[{aggs}]"
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
-        return self._aggregate_chunk(self.child.execute(ctx))
-
-    def execute_batches(self, ctx: ExecutionContext,
-                        batch_rows: int = DEFAULT_BATCH_ROWS):
-        # The aggregate itself is a pipeline breaker, but its input
-        # streams: child batches accumulate and the exact _run kernels
-        # finalise once, so the streamed result is bit-identical to the
-        # materialised one (float reductions are order-sensitive).
-        # Recycler lookup/admit must still happen here — this operator is
-        # a signature point for cross-query reuse.
-        ctx.operators_run += 1
-        signature = self.signature if ctx.recycler is not None else None
-        cached = self._recycler_lookup(ctx, signature)
-        if cached is not None:
-            yield from iter_chunk_slices(cached, batch_rows)
-            return
-        chunks = list(self.child.execute_batches(ctx, batch_rows))
-        result = self._aggregate_chunk(
-            _concat_chunks(chunks, self.child.schema))
-        self._recycler_admit(ctx, signature, result)
-        yield from iter_chunk_slices(result, batch_rows)
+    def _batches(self, ctx: ExecutionContext):
+        # A pipeline breaker: child batches accumulate and the kernels
+        # run once over their concatenation, so the result is
+        # bit-identical at every batch size (float reductions are
+        # order-sensitive).
+        chunk = self._aggregate_chunk(self.child.execute(ctx))
+        if chunk.length:
+            yield chunk
 
     def _aggregate_chunk(self, chunk: Chunk) -> Chunk:
         length = chunk.length
@@ -1460,7 +1231,7 @@ class PLazyFetch(PhysicalNode):
                 hi = value if hi is None else min(hi, value)
         return (lo, hi)
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    def _batches(self, ctx: ExecutionContext):
         meta_chunk = self.meta.execute(ctx)
         node = self.node
         binding = node.binding
@@ -1469,7 +1240,7 @@ class PLazyFetch(PhysicalNode):
         if meta_chunk.length == 0:
             ctx.trace.append({"op": "rewrite", "table": node.table_name,
                               "files": 0, "note": "metadata selected nothing"})
-            return Chunk.empty(self.schema)
+            return
 
         keys = {
             name: meta_chunk.columns[cid].values
@@ -1520,7 +1291,8 @@ class PLazyFetch(PhysicalNode):
             columns[cid] = col.take(left_idx)
         for cid, col in lazy_chunk.columns.items():
             columns[cid] = col.take(right_idx)
-        return Chunk(columns=columns, length=len(left_idx))
+        if len(left_idx):
+            yield Chunk(columns=columns, length=len(left_idx))
 
 
 # ---------------------------------------------------------------------------

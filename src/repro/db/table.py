@@ -115,7 +115,11 @@ class Table:
 
     def _fault_column(self, name: str) -> Column:
         spec = self.schema.spec(name)  # raises CatalogError on unknown
-        column = self._backing.load_column(spec.name)
+        return self.install_column(name, self._backing.load_column(spec.name))
+
+    def install_column(self, name: str, column: Column) -> Column:
+        """Make a column read whole from the backing resident."""
+        spec = self.schema.spec(name)
         if column.dtype != spec.dtype:
             raise CatalogError(
                 f"segment column {self.name}.{name} has dtype "

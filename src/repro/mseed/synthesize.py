@@ -9,13 +9,15 @@ seeded waveforms per ``(network, station, channel, window)`` with
   arrival at each station is delayed/attenuated by epicentral distance,
 * Steim-2-encoded multi-record files named ``NET.STA.LOC.CHA.YEAR.DOY.HHMM``.
 
-Because generation is seeded, every test/bench regenerates the identical
-repository, and the returned :class:`RepositoryManifest` carries the
+Generation is keyed on the seed through a stable digest, so the same
+seed and spec write byte-identical files in any process, whatever its
+``PYTHONHASHSEED``; the returned :class:`RepositoryManifest` carries the
 ground-truth event catalogue for detector validation.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -77,8 +79,12 @@ class WaveformSynthesizer:
         self.noise_counts = noise_counts
 
     def _rng(self, station: Station, channel: Channel, start_us: int) -> np.random.Generator:
-        key = hash((self.seed, station.network, station.code, channel.code, start_us))
-        return np.random.default_rng(key & 0x7FFFFFFF)
+        # A digest, not hash(): string hashing is salted per process.
+        key = repr((self.seed, station.network, station.code, channel.code,
+                    start_us)).encode()
+        digest = hashlib.blake2b(key, digest_size=4).digest()
+        return np.random.default_rng(
+            int.from_bytes(digest, "little") & 0x7FFFFFFF)
 
     def synthesize(self, station: Station, channel: Channel,
                    start_us: int, n_samples: int) -> np.ndarray:

@@ -1,27 +1,30 @@
 """Per-query span trees over the flat run-time trace.
 
-The engine always kept a flat ``ctx.trace`` list of run-time rewrite
-events.  This module adds the structure around it: a
-:class:`QueryProfile` records one :class:`OpFrame` per physical-operator
-invocation (stack-nested, so the frame tree mirrors the execution tree),
-and :func:`span_tree` assembles the full query span —
-parse → bind → optimize → execute, one child span per operator, and the
-trace events (extractions, cache fetches, promoted reads) nested under
-the operator that produced them — as plain JSON-serialisable dicts.
+The engine keeps a flat ``ctx.trace`` list of run-time rewrite events.
+This module adds the structure around it: a :class:`QueryProfile` wraps
+each physical operator's batch iterator and records one :class:`OpFrame`
+per operator invocation, nested under the operator that first pulled it,
+so the frame tree mirrors the execution tree.  :func:`span_tree`
+assembles the full query span — parse → bind → optimize → execute, one
+child span per operator, and the trace events (extractions, cache
+fetches, promoted reads) nested under the operator that produced them —
+as plain JSON-serialisable dicts.
 
-Frames attribute three things per operator: wall time (total and self,
-i.e. minus children), rows out, and page I/O (total and self).  Trace
-events are claimed positionally: a frame owns the ``ctx.trace`` indices
-appended during its execution that no child frame's window covers.
+Attribution follows the pull: self time and ``ctx.trace`` events land
+on the operator whose pull is innermost when they happen, and a frame's
+total time and page I/O cover its own pulls, children included.
+Because the accounting switches at every pull boundary, it stays exact
+when operators interleave — a join probing batch by batch, a LIMIT
+abandoning its child, a cursor pulling between fetches.
 
 The profile is attached as ``ExecutionContext.profile``; ``None`` (the
-default) keeps the execution path exactly as before — operators only pay
+default) leaves every operator's iterator unwrapped — operators only pay
 for profiling when EXPLAIN ANALYZE or span tracing asked for it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import time
 
 #: ``ctx.trace`` ops that carry a wall-time measurement of their own.
 _TIMED_TRACE_OPS = frozenset({"extract", "extract_wait"})
@@ -30,76 +33,87 @@ _TIMED_TRACE_OPS = frozenset({"extract", "extract_wait"})
 class OpFrame:
     """One physical-operator invocation inside a :class:`QueryProfile`."""
 
-    __slots__ = ("op", "label", "total_s", "child_s", "rows_out",
-                 "pages_read", "child_pages", "recycled",
-                 "trace_begin", "trace_end", "children")
+    __slots__ = ("op", "label", "total_s", "self_s", "rows_out",
+                 "pages_read", "recycled", "first_event", "trace_indices",
+                 "children")
 
-    def __init__(self, op: str, label: str) -> None:
+    def __init__(self, op: str, label: str, first_event: int) -> None:
         self.op = op                # operator class name, e.g. "PFilter"
         self.label = label          # node.describe() text
         self.total_s = 0.0
-        self.child_s = 0.0
+        self.self_s = 0.0
         self.rows_out = 0
         self.pages_read = 0
-        self.child_pages = 0
         self.recycled = False
-        self.trace_begin = 0
-        self.trace_end = 0
+        # Trace length at the first pull: orders this frame among its
+        # parent's own trace events.
+        self.first_event = first_event
+        # ctx.trace indices appended while this operator was innermost.
+        self.trace_indices: list[int] = []
         self.children: list["OpFrame"] = []
-
-    @property
-    def self_s(self) -> float:
-        """Wall time spent in this operator, excluding child operators."""
-        return max(self.total_s - self.child_s, 0.0)
-
-    @property
-    def self_pages(self) -> int:
-        return max(self.pages_read - self.child_pages, 0)
-
-    def own_trace_indices(self) -> list[int]:
-        """Trace indices this frame produced itself (children excluded).
-
-        A child's window covers its whole subtree, so subtracting the
-        direct children's windows is sufficient.
-        """
-        covered = [(c.trace_begin, c.trace_end) for c in self.children]
-        return [
-            i for i in range(self.trace_begin, self.trace_end)
-            if not any(begin <= i < end for begin, end in covered)
-        ]
 
 
 class QueryProfile:
-    """Operator-level profile of one query execution (stack-nested)."""
+    """Operator-level profile of one query execution."""
 
     def __init__(self) -> None:
         self.roots: list[OpFrame] = []
-        self._stack: list[OpFrame] = []
+        # Operators mid-pull, innermost last: (frame, started, pages).
+        self._stack: list[tuple[OpFrame, float, int]] = []
+        self._mark_s = 0.0
+        self._mark_trace = 0
 
-    def enter(self, node) -> OpFrame:
-        frame = OpFrame(type(node).__name__, node.describe())
-        if self._stack:
-            self._stack[-1].children.append(frame)
-        else:
-            self.roots.append(frame)
-        self._stack.append(frame)
-        return frame
+    def wrap(self, node, batches, ctx):
+        """Profile one operator's batch iterator.
 
-    def exit(self, frame: OpFrame, *, elapsed_s: float, rows_out: int,
-             pages_read: int, trace_begin: int, trace_end: int,
-             recycled: bool) -> None:
-        if self._stack and self._stack[-1] is frame:
-            self._stack.pop()
-        frame.total_s = elapsed_s
-        frame.rows_out = rows_out
-        frame.pages_read = pages_read
-        frame.trace_begin = trace_begin
-        frame.trace_end = trace_end
-        frame.recycled = recycled
+        A generator, so the frame is placed at the first pull — under
+        the operator whose pull asked for it.
+        """
+        frame = OpFrame(type(node).__name__, node.describe(), len(ctx.trace))
+        (self._stack[-1][0].children if self._stack else self.roots) \
+            .append(frame)
+        try:
+            while True:
+                self._enter(frame, ctx)
+                try:
+                    chunk = next(batches, None)
+                finally:
+                    self._leave(ctx)
+                if chunk is None:
+                    return
+                frame.rows_out += chunk.length
+                yield chunk
+        finally:
+            # Closing an abandoned child runs its cleanup (a scan's
+            # final I/O record): that work is the child's too.
+            self._enter(frame, ctx)
+            try:
+                batches.close()
+            finally:
+                self._leave(ctx)
+
+    def _enter(self, frame: OpFrame, ctx) -> None:
+        self._stack.append((frame, self._settle(ctx), ctx.pages_read))
+
+    def _leave(self, ctx) -> None:
+        now = self._settle(ctx)
+        frame, started, pages = self._stack.pop()
+        frame.total_s += now - started
+        frame.pages_read += ctx.pages_read - pages
+
+    def _settle(self, ctx) -> float:
+        """Charge everything since the last switch to the innermost pull."""
+        now = time.perf_counter()
         if self._stack:
-            parent = self._stack[-1]
-            parent.child_s += elapsed_s
-            parent.child_pages += pages_read
+            top = self._stack[-1][0]
+            top.self_s += now - self._mark_s
+            for index in range(self._mark_trace, len(ctx.trace)):
+                top.trace_indices.append(index)
+                if ctx.trace[index].get("op") == "recycler_hit":
+                    top.recycled = True
+        self._mark_s = now
+        self._mark_trace = len(ctx.trace)
+        return now
 
     def total_operator_s(self) -> float:
         """Wall time attributed to operators = sum of root-frame totals.
@@ -122,20 +136,18 @@ def _trace_span(entry: dict) -> dict:
 def operator_span(frame: OpFrame, trace: list[dict]) -> dict:
     """One operator frame (and its subtree) as a span dict."""
     children: list[dict] = []
-    own = set(frame.own_trace_indices())
-    child_iter = iter(frame.children)
-    next_child = next(child_iter, None)
+    pending = iter(frame.children)
+    child = next(pending, None)
     # Interleave trace-event spans with child-operator spans in trace
     # order so the span tree reads in execution order.
-    for index in range(frame.trace_begin, frame.trace_end):
-        while next_child is not None and next_child.trace_begin <= index:
-            children.append(operator_span(next_child, trace))
-            next_child = next(child_iter, None)
-        if index in own:
-            children.append(_trace_span(trace[index]))
-    while next_child is not None:
-        children.append(operator_span(next_child, trace))
-        next_child = next(child_iter, None)
+    for index in frame.trace_indices:
+        while child is not None and child.first_event <= index:
+            children.append(operator_span(child, trace))
+            child = next(pending, None)
+        children.append(_trace_span(trace[index]))
+    while child is not None:
+        children.append(operator_span(child, trace))
+        child = next(pending, None)
     span = {
         "name": frame.op,
         "detail": frame.label,
@@ -152,29 +164,17 @@ def operator_span(frame: OpFrame, trace: list[dict]) -> dict:
     return span
 
 
-def span_tree(sql: str, report, profile: Optional[QueryProfile],
+def span_tree(sql: str, report, profile: QueryProfile,
               trace: list[dict]) -> dict:
-    """The whole query as one JSON-serialisable span tree.
-
-    ``profile`` may be ``None`` (plan-cache-hit streaming runs through
-    operator overrides, for instance): the compile/execute phases are
-    still exact, the execute span just has no operator children.
-    """
+    """The whole query as one JSON-serialisable span tree."""
     execute_span: dict = {
         "name": "execute",
         "elapsed_s": report.execute_s,
         "rows_out": report.rows_out,
     }
-    operator_children = (
-        [operator_span(frame, trace) for frame in profile.roots]
-        if profile is not None else []
-    )
-    if operator_children:
-        execute_span["children"] = operator_children
-    elif trace:
-        # No operator attribution — keep the trace events visible as
-        # direct children of the execute span.
-        execute_span["children"] = [_trace_span(entry) for entry in trace]
+    if profile.roots:
+        execute_span["children"] = [operator_span(frame, trace)
+                                    for frame in profile.roots]
     return {
         "name": "query",
         "attrs": {

@@ -223,14 +223,23 @@ class _QueuedQuery:
             self.future.set_exception(exc)
 
 
+def _require_select(sql: str) -> None:
+    from repro.db.sql import ast
+    from repro.db.sql.parser import parse_statement
+
+    if not isinstance(parse_statement(sql), ast.SelectStmt):
+        raise ServiceError(
+            "the service serves queries only (SELECT); run DDL/DML on a "
+            "direct connection outside the service")
+
+
 class ClientSession:
     """One client's handle on the service (its fairness unit).
 
     Exposes the unified cursor protocol: :meth:`cursor` returns the same
     :class:`~repro.api.cursor.Cursor` a direct
     :class:`~repro.api.connection.Connection` hands out, with a private
-    :class:`~repro.db.exec.engine.QueryReport` per execution — the
-    ``query_with_report`` tuple juggling is not needed here.
+    :class:`~repro.db.exec.engine.QueryReport` per execution.
     """
 
     def __init__(self, service: "WarehouseService", session_id: str) -> None:
@@ -266,14 +275,7 @@ class ClientSession:
 
     def _run_for_cursor(self, sql: str, params: object, _batch_rows: int):
         from repro.db.exec.engine import CompletedQuery
-        from repro.db.sql import ast
-        from repro.db.sql.parser import parse_statement
 
-        if not isinstance(parse_statement(sql), ast.SelectStmt):
-            raise ServiceError(
-                "service sessions serve queries only (SELECT); run "
-                "DDL/DML on a direct connection outside the service"
-            )
         outcome = self.query(sql, params)
         return CompletedQuery(outcome.result, outcome.report, outcome.trace)
 
@@ -492,8 +494,10 @@ class WarehouseService:
 
     def submit(self, session_id: str, sql: str, params: object = None
                ) -> "Future[QueryOutcome]":
+        """Enqueue a SELECT; DDL/DML raise :class:`ServiceError` here."""
         if self._closed:
             raise ServiceClosedError("service is shut down")
+        _require_select(sql)
         future: "Future[QueryOutcome]" = Future()
         item = _QueuedQuery(session_id, sql, future,
                             next(self._submit_counter), params)
@@ -513,18 +517,12 @@ class WarehouseService:
         the stream — client gone), ``fail(exc)`` and
         ``finish(report, trace, *, queued_s, execute_s, total_s)``.
 
-        SELECT-only, like :meth:`ClientSession.cursor`: DDL/DML belong
-        on a direct connection outside the service.
+        SELECT-only, like :meth:`submit`: DDL/DML belong on a direct
+        connection outside the service.
         """
-        from repro.db.sql import ast
-        from repro.db.sql.parser import parse_statement
-
         if self._closed:
             raise ServiceClosedError("service is shut down")
-        if not isinstance(parse_statement(sql), ast.SelectStmt):
-            raise ServiceError(
-                "the wire protocol serves queries only (SELECT); run "
-                "DDL/DML on a direct connection outside the service")
+        _require_select(sql)
         item = _QueuedQuery(session_id, sql, None,
                             next(self._submit_counter), params,
                             sink=sink, batch_rows=batch_rows)
@@ -558,8 +556,8 @@ class WarehouseService:
                     # The journal context attributes the sys.queries
                     # entry (session, queue wait) the engine records.
                     with query_context(item.session_id, queued_s=queued_s):
-                        result, report, trace = db.query_with_report(
-                            item.sql, item.params)
+                        run = db.open_query(item.sql, item.params)
+                        result = run.drain()
                 except BaseException as exc:
                     with self._stats_lock:
                         self._failed += 1
@@ -573,8 +571,8 @@ class WarehouseService:
                 session_id=item.session_id,
                 sql=item.sql,
                 result=result,
-                report=report,
-                trace=trace,
+                report=run.report,
+                trace=run.trace,
                 queued_s=queued_s,
                 execute_s=execute_s,
                 total_s=time.perf_counter() - item.submitted_at,
@@ -589,7 +587,7 @@ class WarehouseService:
                 self.slow_log.observe(
                     session_id=item.session_id, sql=item.sql,
                     total_s=outcome.total_s, queued_s=queued_s,
-                    execute_s=execute_s, report=report,
+                    execute_s=execute_s, report=run.report,
                 )
             item.future.set_result(outcome)
 

@@ -100,7 +100,7 @@ class PShardGather(PhysicalNode):
                    if self.plan.combine_param_names else None)
         return partial, combine
 
-    def _run(self, ctx: ExecutionContext) -> Chunk:
+    def _batches(self, ctx: ExecutionContext):
         partial_params, combine_params = self._params()
         shard_results = self.executor.query_all(self.plan.partial_sql,
                                                 partial_params)
@@ -135,11 +135,12 @@ class PShardGather(PhysicalNode):
                           "partial_rows": sum(r.row_count
                                               for r, _rep in shard_results),
                           "rows": combined.row_count})
-        return Chunk(
-            columns={out.cid: combined.columns[i]
-                     for i, out in enumerate(self.schema)},
-            length=combined.row_count,
-        )
+        if combined.row_count:
+            yield Chunk(
+                columns={out.cid: combined.columns[i]
+                         for i, out in enumerate(self.schema)},
+                length=combined.row_count,
+            )
 
 
 class ShardRouter:

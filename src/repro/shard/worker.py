@@ -93,8 +93,9 @@ class _ShardServer:
         from repro.net.frames import encode_result_batch
 
         self.queries += 1
-        result, report, _trace = self.warehouse.db.query_with_report(
-            message["sql"], message.get("params"))
+        run = self.warehouse.db.open_query(message["sql"],
+                                           message.get("params"))
+        result, report = run.drain(), run.report
         payload = encode_result_batch(0, result)
         return {
             "ok": True,

@@ -2,8 +2,9 @@
 
 :func:`run_differential` executes a SELECT through
 
-* the vectorised materialised path (``Database.query``),
-* the streamed batch path (``Database.open_query``), and
+* the batch executor drained whole (``Database.query``),
+* the same executor at another batch size, streamed
+  (``Database.open_query``), and
 * the row-at-a-time reference interpreter (``Database.query_rowpath``),
 
 and asserts the three results are *byte-identical*: same values, same

@@ -400,8 +400,8 @@ def test_parameterised_window_prunes_extraction_like_literals(lazy_wh):
         "window_start": "2010-01-12T22:15:00.000",
         "window_end": "2010-01-12T22:15:02.000",
     }
-    literal_result, literal_report, _ = lazy_wh.db.query_with_report(
-        fig1_query1())
+    literal_run = lazy_wh.db.open_query(fig1_query1())
+    literal_result, literal_report = literal_run.drain(), literal_run.report
     fresh = lazy_wh.connect()  # same warehouse: caches are shared
     lazy_wh.cache.clear()      # force re-extraction for a fair count
     cur = fresh.cursor().execute(fig1_query1_template(), values)

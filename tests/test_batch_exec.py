@@ -1,18 +1,20 @@
-"""Regression tests for the batch executor (ISSUE-6).
+"""Regression tests for the batch-pull executor.
 
-Covers the latent bug class the vectorised rewrite audit surfaced:
+Every physical operator has one body, a generator of row batches;
+``Database.query`` drains it with unbounded leaf batches and a cursor
+pulls it at ``batch_rows``.  These tests pin the rules that one protocol
+must keep:
 
-* ``PLimit.execute_batches`` with ``LIMIT 0`` used to pull (and pay for)
-  one child batch before noticing it had nothing to emit.
-* ``_combined_codes`` collapsed every row with *any* NULL key column into
-  one group, so multi-key GROUP BY / DISTINCT merged ``(NULL, 1)`` and
+* ``LIMIT 0`` must not pull (and pay for) a single child batch.
+* ``_combined_codes`` must keep every NULL key combination its own
+  group, so multi-key GROUP BY / DISTINCT never merge ``(NULL, 1)`` and
   ``(NULL, 2)``.
-* Mid-stream empty chunks (a predicate wiping out a whole batch) must
-  propagate cleanly through every streaming operator.
+* A predicate wiping out a whole batch mid-stream must propagate
+  cleanly through every operator.
 
-Plus streaming-vs-materialised parity for the operators that gained
-native ``execute_batches`` implementations: sort, distinct, join (inner,
-left, cross) and aggregate.
+Plus parity across batch sizes — the drained result against cursor runs
+at several ``batch_rows`` — for sort, distinct, join (inner, left,
+cross) and aggregate.
 """
 
 import pytest

@@ -103,14 +103,30 @@ def _operator_total_s(spans: dict) -> float:
                if not child["name"].startswith("trace:"))
 
 
-@pytest.mark.parametrize("run", ["cold", "warm"])
-def test_operator_times_sum_to_execute_within_10pct(demo_repo, run):
-    wh = SeismicWarehouse(demo_repo.root, mode="lazy")
+def _explain_analyze_report(wh, sql):
+    wh.explain_analyze(sql)
+    return wh.db.last_report
+
+
+def _cursor_report(wh, sql):
+    with wh.connect() as conn:
+        cur = conn.cursor().execute(sql)
+        cur.fetchall()
+        return cur.report
+
+
+@pytest.mark.parametrize("run,surface", [
+    pytest.param("cold", _explain_analyze_report, id="cold"),
+    pytest.param("warm", _explain_analyze_report, id="warm"),
+    pytest.param("cold", _cursor_report, id="cold-cursor"),
+    pytest.param("warm", _cursor_report, id="warm-cursor"),
+])
+def test_operator_times_sum_to_execute_within_10pct(demo_repo, run, surface):
+    wh = SeismicWarehouse(demo_repo.root, mode="lazy", trace_spans=True)
     for spec in analytical_suite():
         if run == "warm":
             wh.query(spec.sql)  # populate the extraction cache first
-        wh.explain_analyze(spec.sql)
-        report = wh.db.last_report
+        report = surface(wh, spec.sql)
         total = _operator_total_s(report.spans)
         slack = max(0.10 * report.execute_s, 0.002)
         assert abs(total - report.execute_s) <= slack, (
@@ -161,6 +177,12 @@ def test_extraction_spans_tagged_with_file_and_range(traced_wh):
         assert attrs["seq_lo"] <= attrs["seq_hi"]
 
 
+def _span_names(span):
+    yield span["name"]
+    for child in span.get("children", ()):
+        yield from _span_names(child)
+
+
 def test_trace_spans_streaming(traced_wh):
     with traced_wh.connect() as conn:
         cur = conn.cursor().execute(
@@ -170,6 +192,33 @@ def test_trace_spans_streaming(traced_wh):
         spans = cur.spans
     assert spans is not None and spans["name"] == "query"
     json.dumps(spans)
+    # A cursor gets one span per operator, just as a drained query does.
+    with traced_wh.connect() as conn:
+        cur = conn.cursor().execute(
+            "SELECT F.station, COUNT(*) AS n FROM mseed.dataview "
+            "WHERE F.network = 'NL' GROUP BY F.station", batch_rows=2)
+        cur.fetchall()
+        names = list(_span_names(cur.spans))
+    assert "PAggregate" in names and "PLazyFetch" in names
+
+
+def test_explain_analyze_is_journaled(lazy_wh):
+    sql = "SELECT COUNT(*) AS n FROM mseed.files WHERE network = 'NL'"
+    before = len(lazy_wh.db.journal)
+    lazy_wh.explain_analyze(sql)
+    assert len(lazy_wh.db.journal) == before + 1
+    (row,) = lazy_wh.query(
+        "SELECT sql, status, rows_out FROM sys.queries "
+        f"WHERE id = {lazy_wh.db.last_report.journal_id}").rows()
+    assert row == (sql, "ok", 1)
+
+
+def test_failed_explain_analyze_is_journaled(lazy_wh):
+    before = len(lazy_wh.db.journal)
+    with pytest.raises(SQLError):
+        lazy_wh.explain_analyze("SELECT nope FROM mseed.files")
+    assert len(lazy_wh.db.journal) == before + 1
+    assert lazy_wh.db.journal.entries()[-1]["status"] == "error"
 
 
 def test_spans_off_by_default(lazy_wh):

@@ -229,7 +229,8 @@ def test_same_param_values_do_recycle(db):
     sql = "SELECT count(*) FROM items WHERE price < ?"
     db.query(sql, [2.0])
     db.query(sql, [2.0])
-    result, _report, trace = db.query_with_report(sql, [2.0])
+    run = db.open_query(sql, [2.0])
+    result, trace = run.drain(), run.trace
     assert result.scalar() == 2
     assert any(t.get("op") == "recycler_hit" for t in trace)
     # ... while a different value still computes fresh.
@@ -240,7 +241,9 @@ def test_unparameterized_aggregate_still_recycles(db):
     sql = "SELECT sum(id) FROM items"
     assert db.query(sql).scalar() == 10
     db.query(sql)
-    _result, _report, trace = db.query_with_report(sql)
+    run = db.open_query(sql)
+    run.drain()
+    trace = run.trace
     assert any(t.get("op") == "recycler_hit" for t in trace)
 
 

@@ -1,8 +1,9 @@
-"""QueryReport counter parity between execution paths.
+"""QueryReport counter parity between ways of consuming a query.
 
-The materialised (`Database.query`) and streaming (cursor) paths share
-``_fold_trace_counters``; these tests pin that the counters a report
-carries are identical whichever path ran the query, and that
+A drained run (``open_query(...).drain()``, what ``Database.query``
+does) and a cursor pulling 128-row batches run the same executor at
+different batch sizes; these tests pin that the counters a report
+carries are identical whichever consumed the query, and that
 promoted-fetch page I/O is counted exactly once.
 """
 
@@ -28,8 +29,9 @@ QUERIES = [
 
 
 def _materialized(wh, sql) -> QueryReport:
-    _result, report, _trace = wh.db.query_with_report(sql)
-    return report
+    run = wh.db.open_query(sql)
+    run.drain()
+    return run.report
 
 
 def _streamed(wh, sql) -> QueryReport:
@@ -96,7 +98,9 @@ def test_promoted_fetch_pages_counted_once(demo_repo, tmp_path):
     assert promoted.promoted_units > 0
     wh.cache.clear()  # the warm cache would shadow the promoted path
 
-    _result, report, trace = wh.db.query_with_report(sql)
+    run = wh.db.open_query(sql)
+    run.drain()
+    report, trace = run.report, run.trace
     promoted_pages = sum(e.get("pages_read", 0) for e in trace
                          if e.get("op") == "promoted_fetch")
     assert report.rows_served_eager > 0

@@ -163,7 +163,8 @@ def test_metadata_queries_stay_parent_local(sharded2):
 def test_report_folds_worker_counters(sharded2):
     sharded2.sharding.clear_caches()
     sharded2.db.clear_plan_cache()
-    result, report, trace = sharded2.db.query_with_report(fig1_query2())
+    run = sharded2.db.open_query(fig1_query2())
+    result, report, trace = run.drain(), run.report, run.trace
     assert result.row_count > 0
     assert report.rows_extracted > 0  # extraction happened in workers
     partials = [e for e in trace if e.get("op") == "shard_partial"]

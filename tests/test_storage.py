@@ -587,12 +587,14 @@ def test_attach_mid_session_recompiles_cached_plans(tmp_path):
     db2.execute("CREATE TABLE t (a BIGINT, b VARCHAR, PRIMARY KEY (a))")
     sql = "SELECT a FROM t ORDER BY a"
     assert db2.query(sql).row_count == 0  # compiled over the empty table
-    _res, report, _trace = db2.query_with_report(sql)
-    assert report.plan_cache_hit
+    run = db2.open_query(sql)
+    run.drain()
+    assert run.report.plan_cache_hit
     assert "PTableScan" in _physical_node_types(db2)
 
     db2.attach(tmp_path / "store")  # mid-session: t becomes disk-backed
-    result, report, _trace = db2.query_with_report(sql)
+    run = db2.open_query(sql)
+    result, report = run.drain(), run.report
     assert not report.plan_cache_hit  # recompiled, not served stale
     assert "PDiskScan" in _physical_node_types(db2)
     assert result.columns[0].to_pylist() == [1, 2, 3]
@@ -611,12 +613,14 @@ def test_dml_detach_recompiles_cached_disk_plans(tmp_path):
     db2.attach(tmp_path / "store")
     sql = "SELECT a FROM t ORDER BY a"
     assert db2.query(sql).columns[0].to_pylist() == [1, 2, 3]
-    _res, report, _trace = db2.query_with_report(sql)
-    assert report.plan_cache_hit
+    run = db2.open_query(sql)
+    run.drain()
+    assert run.report.plan_cache_hit
     assert "PDiskScan" in _physical_node_types(db2)
 
     db2.execute("INSERT INTO t (a, b) VALUES (4, 'w')")
-    result, report, _trace = db2.query_with_report(sql)
+    run = db2.open_query(sql)
+    result, report = run.drain(), run.report
     assert not report.plan_cache_hit  # _invalidate_for dropped the plan
     assert "PDiskScan" not in _physical_node_types(db2)
     assert result.columns[0].to_pylist() == [1, 2, 3, 4]
@@ -630,7 +634,8 @@ def test_checkpoint_keeps_resident_plans_valid(tmp_path):
     sql = "SELECT a FROM t ORDER BY a"
     before = db.query(sql).columns[0].to_pylist()
     db.checkpoint()
-    result, report, _trace = db.query_with_report(sql)
+    run = db.open_query(sql)
+    result, report = run.drain(), run.report
     assert report.plan_cache_hit
     assert result.columns[0].to_pylist() == before
     assert "PTableScan" in _physical_node_types(db)

@@ -1,5 +1,9 @@
 """Tests for the synthetic repository generator."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -53,6 +57,39 @@ def test_deterministic_generation(tmp_path):
         np.concatenate([r.samples for r in data1]),
         np.concatenate([r.samples for r in data2]),
     )
+
+
+_BUILD_AND_DIGEST = """
+import hashlib, sys
+from pathlib import Path
+from repro.mseed.inventory import DEFAULT_INVENTORY
+from repro.mseed.synthesize import RepositorySpec, build_repository
+
+root = Path(sys.argv[1])
+spec = RepositorySpec(stations=DEFAULT_INVENTORY[:2], channel_codes=("BHZ",),
+                      file_span_minutes=1)
+build_repository(root, spec, seed=13)
+digest = hashlib.sha256()
+for path in sorted(root.rglob("*.mseed")):
+    digest.update(str(path.relative_to(root)).encode())
+    digest.update(path.read_bytes())
+print(digest.hexdigest())
+"""
+
+
+def test_generation_is_identical_across_processes(tmp_path):
+    # String hashing is salted per process: a waveform keyed on hash()
+    # would differ between these two builds.
+    digests = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", _BUILD_AND_DIGEST,
+             str(tmp_path / hash_seed)],
+            env=env, capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_different_seeds_differ(tmp_path):

@@ -165,6 +165,16 @@ def test_streaming_scan_skips_dead_pages_entirely(tmp_path):
     assert run.report.pages_skipped_zone == 2
 
 
+def test_limit_reads_one_page_per_column(tmp_path):
+    db = _disk_db(tmp_path)
+    assert db.query("SELECT v, s FROM t LIMIT 5").rows() == \
+        [(i, f"x{i % 5}") for i in range(5)]
+    # LIMIT stops the page loop after the first page of each column...
+    assert db.last_report.pages_read == 2
+    # ...and a column read in part never becomes the resident copy.
+    assert not db.table("main.t").is_column_resident("v")
+
+
 def test_param_conjuncts_prune_per_execution(tmp_path):
     db = _disk_db(tmp_path)
     sql = "SELECT count(*) FROM t WHERE v < ?"
