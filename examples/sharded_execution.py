@@ -5,10 +5,11 @@ Builds a small synthetic mSEED repository and opens the same lazy
 warehouse twice — single-process and with ``shards=2``.  With sharding
 on, the corpus is hash-partitioned across warm worker *processes*, each
 owning a full lazy warehouse over its slice.  Decomposable aggregates
-run as per-shard partials plus a parent-side combine (watch EXPLAIN
-render the fan-out); everything else runs the parent's own plan with
-only extraction scattered to the owning shards.  Both paths answer
-bit-for-bit identically to the single-process engine.
+run as per-shard partial aggregates merged in the parent (watch EXPLAIN
+show the merge aggregate over a ShardGather leaf); everything else runs
+the parent's own plan with only extraction scattered to the owning
+shards.  Both paths answer bit-for-bit identically to the
+single-process engine.
 
 Run:  python examples/sharded_execution.py
 
@@ -43,12 +44,10 @@ def main() -> None:
         print(f"   {rows}")
         print(f"   identical to single-process: {rows == expected}")
 
-        print("\n4. EXPLAIN shows the scatter-gather fan-out:")
+        print("\n4. EXPLAIN shows the routed physical plan:")
         plan = wh.explain(SQL)
-        for line in plan.splitlines():
-            if "sharded" in line or line.startswith(("scatter",
-                                                     "gather", "combine")):
-                print(f"   {line}")
+        print("   " + plan.split("== physical plan ==\n")[1]
+              .replace("\n", "\n   "))
 
         print("\n5. sys.shards — one row per worker process:")
         for row in wh.query("SELECT shard_id, pid, alive, files, queries "

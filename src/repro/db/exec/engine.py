@@ -164,9 +164,9 @@ class _CachedPlan:
     spec: ParamSpec
     bound_params: list = field(default_factory=list)
     tables: frozenset = frozenset()
-    # When a shard router wrapped ``physical`` in a scatter-gather node,
-    # the original single-process plan is preserved here so the rowpath
-    # oracle (and anything that needs an in-process plan) still has one.
+    # When a shard router scattered the plan's aggregate, the original
+    # single-process plan is preserved here so the rowpath oracle (and
+    # anything that needs an in-process plan) still has one.
     physical_local: Optional[PhysicalNode] = None
 
 
@@ -435,9 +435,9 @@ class Database:
         self.last_plan_physical: Optional[PhysicalNode] = None
         self.last_report = QueryReport()
         # Sharded scatter-gather hook: when a warehouse enables sharding
-        # it installs a repro.shard.gather.ShardRouter here; every plan-
-        # cache miss is offered to it.  None (the default) leaves the
-        # compile path byte-identical to the single-process engine.
+        # it installs a repro.shard.gather.ShardRouter here; every
+        # compiled SELECT is offered to it.  None (the default) leaves
+        # the compile path byte-identical to the single-process engine.
         self.shard_router = None
 
     # -- public API -----------------------------------------------------------
@@ -526,10 +526,10 @@ class Database:
         """Compile-time plan report for a SELECT."""
         stmt = parse_statement(sql)
         if isinstance(stmt, ast.ExplainStmt):
-            stmt = stmt.select
+            sql, stmt = stmt.select_sql, stmt.select
         if not isinstance(stmt, ast.SelectStmt):
             raise SQLError("explain() requires a SELECT statement")
-        return self._explain_select(stmt)
+        return self._explain_select(stmt, sql)
 
     def explain_analyze(self, sql: str, params: ParamValues = None) -> str:
         """Execute a SELECT and render the plan with measured actuals.
@@ -541,17 +541,23 @@ class Database:
         SELECT ...``.
         """
         stmt, spec = parse_prepared(sql)
+        select_sql = sql
         if isinstance(stmt, ast.ExplainStmt):
-            stmt = stmt.select
+            select_sql, stmt = stmt.select_sql, stmt.select
         if not isinstance(stmt, ast.SelectStmt):
             raise SQLError("explain_analyze() requires a SELECT statement")
-        return self._explain_analyze(stmt, spec, sql, params)
+        return self._explain_analyze(stmt, spec, sql, select_sql, params)
 
     # -- compilation & the plan cache ------------------------------------------
 
     def _plan(self, stmt: ast.SelectStmt, spec: Optional[ParamSpec],
-              report: QueryReport) -> _CachedPlan:
-        """Bind, optimise and build one SELECT, timing each phase."""
+              report: QueryReport, sql: str) -> _CachedPlan:
+        """Bind, optimise and build one SELECT, timing each phase.
+
+        Every compile (plan cache, EXPLAIN, EXPLAIN ANALYZE) comes through
+        here, so a shard router sees, and routes, every plan that runs.
+        ``sql`` is the SELECT's own text: what a shard worker compiles.
+        """
         started = time.perf_counter()
         naive = bind_select(self.catalog, stmt)
         # Bind twice: optimisation mutates nodes, and we keep the pre-
@@ -565,12 +571,15 @@ class Database:
             enable_pruning=self.enable_pruning,
         )
         physical = build_physical(optimized, self.recycler)
-        report.optimize_s = time.perf_counter() - started
-        return _CachedPlan(
+        entry = _CachedPlan(
             stmt=stmt, naive=naive, optimized=optimized, physical=physical,
             spec=spec, bound_params=collect_bound_params(optimized),
             tables=frozenset(_plan_tables(optimized)),
         )
+        if self.shard_router is not None:
+            entry = self.shard_router.route(entry, sql, self.recycler)
+        report.optimize_s = time.perf_counter() - started
+        return entry
 
     @contextmanager
     def _journal_errors(self, report: QueryReport):
@@ -616,9 +625,7 @@ class Database:
             if not isinstance(stmt, ast.SelectStmt):
                 self._store_cache_entry(key, _CachedStatement(stmt, spec))
                 return "other", (stmt, spec), report
-            entry = self._plan(stmt, spec, report)
-        if self.shard_router is not None:
-            entry = self.shard_router.maybe_shard(self, entry)
+            entry = self._plan(stmt, spec, report, sql)
         self._store_cache_entry(key, entry)
         return "select", entry, report
 
@@ -650,11 +657,12 @@ class Database:
         if isinstance(stmt, ast.ExplainStmt):
             if stmt.analyze:
                 text = self._explain_analyze(stmt.select, spec,
-                                             stmt.sql_text, params)
+                                             stmt.sql_text, stmt.select_sql,
+                                             params)
             else:
                 # Plain EXPLAIN never executes: parameter values (if any)
                 # are irrelevant and placeholders appear in the plan.
-                text = self._explain_select(stmt.select)
+                text = self._explain_select(stmt.select, stmt.select_sql)
             return Result(["plan"],
                           [Column.from_values(DataType.VARCHAR, [text])]), -1
         values = resolve_param_values(spec, [], params)
@@ -681,8 +689,8 @@ class Database:
                       [Column.from_values(DataType.VARCHAR, [message])]), \
             rowcount
 
-    def _explain_select(self, stmt: ast.SelectStmt) -> str:
-        plan = self._plan(stmt, None, QueryReport())
+    def _explain_select(self, stmt: ast.SelectStmt, sql: str) -> str:
+        plan = self._plan(stmt, None, QueryReport(), sql)
         sections = [
             "== logical plan (as bound) ==",
             explain_mod.render_logical(plan.naive),
@@ -694,13 +702,13 @@ class Database:
             explain_mod.render_physical(plan.physical),
         ]
         if self.shard_router is not None:
-            extra = self.shard_router.explain_section(self, stmt)
-            if extra:
-                sections.extend(["", extra])
+            sections.extend(["", self.shard_router.explain_section(
+                plan.physical_local is not None)])
         return "\n".join(sections)
 
     def _explain_analyze(self, stmt: ast.SelectStmt, spec: ParamSpec,
-                         sql: str, params: ParamValues) -> str:
+                         sql: str, select_sql: str,
+                         params: ParamValues) -> str:
         """Compile, execute under a profile, and render the actuals.
 
         Compiles outside the plan cache on purpose: the rendered tree
@@ -710,7 +718,7 @@ class Database:
         """
         report = QueryReport(sql=sql)
         with self._journal_errors(report):
-            plan = self._plan(stmt, spec, report)
+            plan = self._plan(stmt, spec, report, select_sql)
         run = StreamingQuery(self, plan, sql, params, report, None,
                              profile=QueryProfile())
         run.drain()

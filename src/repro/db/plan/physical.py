@@ -1132,10 +1132,13 @@ class PAggregate(PhysicalNode):
             reducer = np.minimum if agg.name == "min" else np.maximum
             best = reducer.reduceat(work, starts) if length else \
                 np.zeros(n_groups)
-            result = Column.from_numpy(dtype, best,
-                                       None if not empty_groups.any()
-                                       else ~empty_groups)
-            return result
+            if not empty_groups.any():
+                return Column.from_numpy(dtype, best)
+            # A group with no valid value reduced to the sentinel; an
+            # integer column cannot hold ±inf, so write a neutral value
+            # under the NULL mask before the cast.
+            best[empty_groups] = 0.0
+            return Column.from_numpy(dtype, best, ~empty_groups)
 
         sums = np.add.reduceat(ordered, starts) if length else np.zeros(n_groups)
         if agg.name == "sum":
@@ -1301,7 +1304,9 @@ class PLazyFetch(PhysicalNode):
 
 
 def build_physical(node: lg.LogicalNode,
-                   recycler: Optional["Recycler"] = None) -> PhysicalNode:
+                   recycler: Optional["Recycler"] = None, *,
+                   substitute: "tuple[lg.LogicalNode, PhysicalNode] | None"
+                   = None) -> PhysicalNode:
     """Translate a logical plan 1:1 into physical operators.
 
     When a recycler is supplied, recyclable nodes (aggregates and lazy
@@ -1311,7 +1316,16 @@ def build_physical(node: lg.LogicalNode,
     fragments containing prepared-statement parameters embed the
     *currently bound values*: identical re-executions recycle, different
     bindings can never share an entry.
+
+    ``substitute`` is a ``(logical node, physical subtree)`` pair: that
+    node (matched by identity) becomes the given, already built subtree.
     """
+    if substitute is not None and node is substitute[0]:
+        return substitute[1]
+
+    def build(child: lg.LogicalNode) -> PhysicalNode:
+        return build_physical(child, recycler, substitute=substitute)
+
     if isinstance(node, lg.LScan):
         if isinstance(node.table, SystemTable):
             return PSystemScan(node)
@@ -1321,7 +1335,7 @@ def build_physical(node: lg.LogicalNode,
     if isinstance(node, lg.LScanAll):
         return PScanAll(node)
     if isinstance(node, lg.LFilter):
-        child = build_physical(node.child, recycler)
+        child = build(node.child)
         if isinstance(child, PDiskScan):
             # Push zone-map prunable conjuncts into the scan.  The
             # filter keeps the full predicate: pruning stays
@@ -1330,23 +1344,22 @@ def build_physical(node: lg.LogicalNode,
                 node.predicate, child.schema)
         return PFilter(node, child)
     if isinstance(node, lg.LProject):
-        return PProject(node, build_physical(node.child, recycler))
+        return PProject(node, build(node.child))
     if isinstance(node, lg.LSort):
-        return PSort(node, build_physical(node.child, recycler))
+        return PSort(node, build(node.child))
     if isinstance(node, lg.LLimit):
-        return PLimit(node, build_physical(node.child, recycler))
+        return PLimit(node, build(node.child))
     if isinstance(node, lg.LDistinct):
-        return PDistinct(node, build_physical(node.child, recycler))
+        return PDistinct(node, build(node.child))
     if isinstance(node, lg.LJoin):
-        return PJoin(node, build_physical(node.left, recycler),
-                     build_physical(node.right, recycler))
+        return PJoin(node, build(node.left), build(node.right))
     if isinstance(node, lg.LAggregate):
-        physical = PAggregate(node, build_physical(node.child, recycler))
+        physical = PAggregate(node, build(node.child))
         if recycler is not None:
             physical.signature_source = node
         return physical
     if isinstance(node, lg.LLazyFetch):
-        physical = PLazyFetch(node, build_physical(node.meta, recycler))
+        physical = PLazyFetch(node, build(node.meta))
         if recycler is not None:
             physical.signature_source = node
         return physical

@@ -152,6 +152,8 @@ class UpdateStmt:
 class ExplainStmt:
     select: SelectStmt
     sql_text: str = ""
+    # The text of ``select`` alone (what a shard worker compiles).
+    select_sql: str = ""
     # EXPLAIN ANALYZE: execute the plan and annotate each operator with
     # measured wall time, rows and page I/O (plain EXPLAIN never runs).
     analyze: bool = False

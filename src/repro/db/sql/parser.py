@@ -132,8 +132,10 @@ class _Parser:
             if self.current.is_keyword("analyze"):
                 self.advance()
                 analyze = True
+            start = self.current.position
             select = self.select()
             return ast.ExplainStmt(select=select, sql_text=self.sql,
+                                   select_sql=self.sql[start:],
                                    analyze=analyze)
         if token.is_keyword("create"):
             return self.create()

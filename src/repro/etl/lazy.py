@@ -160,7 +160,7 @@ class LazyDataBinding:
             # the trace (and the assembled output) stay deterministic.
             local_traces: list[list[dict]] = [[] for _ in uris]
             results = self.extract_pool.map_ordered(
-                lambda pair: self._fetch_file(
+                lambda pair: self.fetch_file(
                     pair[1], sorted(per_file[pair[1]]), data_cols,
                     time_bounds, local_traces[pair[0]],
                 ),
@@ -173,8 +173,8 @@ class LazyDataBinding:
         else:
             for uri in uris:
                 pieces.extend(
-                    self._fetch_file(uri, sorted(per_file[uri]), data_cols,
-                                     time_bounds, trace)
+                    self.fetch_file(uri, sorted(per_file[uri]), data_cols,
+                                    time_bounds, trace)
                 )
         return self._assemble(pieces, needed, data_cols)
 
@@ -186,18 +186,26 @@ class LazyDataBinding:
         for uri in self.index.files():
             seq_nos = [span.seq_no for span in self.index.spans(uri)]
             pieces.extend(
-                self._fetch_file(uri, sorted(seq_nos), data_cols,
-                                 (None, None), trace)
+                self.fetch_file(uri, sorted(seq_nos), data_cols,
+                                (None, None), trace)
             )
         return self._assemble(pieces, needed, data_cols)
 
-    # -- internals --------------------------------------------------------------------
-
-    def _fetch_file(
+    def fetch_file(
         self, uri: str, seq_nos: list[int], data_cols: list[str],
         time_bounds: tuple[Optional[int], Optional[int]],
         trace: list[dict],
     ) -> list[tuple[str, int, dict[str, np.ndarray], int]]:
+        """Serve records ``seq_nos`` of one file: the extraction entry
+        point behind :meth:`fetch`, :meth:`scan_all` and a shard
+        worker's ``extract`` command.
+
+        Prunes records outside ``time_bounds``, refreshes the file if it
+        changed on disk, then reads each record from the promoted store,
+        the extraction cache or the source file, cheapest first.  Returns
+        ``(uri, seq_no, columns, rows)`` pieces in record order and
+        appends the injected steps to ``trace``.
+        """
         if not data_cols:
             data_cols = [self._count_column]
         # (1) metadata-driven pruning of records outside the time window.
@@ -325,6 +333,8 @@ class LazyDataBinding:
         if self.metadata_refresh is not None:
             with self._refresh_lock:
                 self.metadata_refresh(uri)
+
+    # -- internals --------------------------------------------------------------------
 
     def _record_heat(self, uri: str, data_cols: list[str],
                      eager_hits: list, hits: list,

@@ -5,8 +5,8 @@ no inherited locks or file descriptors, identical behaviour on every
 platform), one per shard.  It exposes exactly the two operations the
 execution stack scatters:
 
-* :meth:`query_all` — run one partial SELECT on every shard
-  concurrently (the scatter half of :class:`~repro.shard.gather.
+* :meth:`partial_all` — run one statement's partial aggregate on every
+  shard concurrently (the scatter half of :class:`~repro.shard.gather.
   PShardGather`);
 * :meth:`extract` — decode specific records of one file on its owning
   shard (the remote half of ``LazyDataBinding._extract_direct``).
@@ -258,14 +258,15 @@ class ShardedExtractor:
 
     # -- scatter operations --------------------------------------------------
 
-    def query_all(self, sql: str, params: "dict | None"
-                  ) -> "list[tuple]":
-        """Run one partial SELECT on every shard; returns per-shard
+    def partial_all(self, sql: str, params: "dict | None"
+                    ) -> "list[tuple]":
+        """Run the partial aggregate of ``sql`` on every shard, with
+        ``params`` keyed by parameter slot; returns per-shard
         ``(Result, report_dict)`` in shard order."""
         if self._scatter_pool is None:
             raise ShardError("sharded executor not started")
         futures = [
-            self._scatter_pool.submit(self._query_shard, i, sql, params)
+            self._scatter_pool.submit(self._partial_shard, i, sql, params)
             for i in range(self.n_shards)
         ]
         results, errors = [], []
@@ -278,14 +279,14 @@ class ShardedExtractor:
             raise errors[0]
         return results
 
-    def _query_shard(self, shard_id: int, sql: str,
-                     params: "dict | None") -> tuple:
+    def _partial_shard(self, shard_id: int, sql: str,
+                       params: "dict | None") -> tuple:
         from repro.net.frames import decode_result_batch
 
         reply = self._check(
-            self._roundtrip(shard_id, {"cmd": "query", "sql": sql,
+            self._roundtrip(shard_id, {"cmd": "partial", "sql": sql,
                                        "params": params}),
-            shard_id, "partial query")
+            shard_id, "partial aggregate")
         _cursor, result = decode_result_batch(reply["data"], reply["names"])
         stats = self.stats[shard_id]
         stats.queries += 1

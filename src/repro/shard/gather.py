@@ -1,145 +1,200 @@
-"""The scatter-gather physical node and the engine-side router.
+"""Shard aggregates as plan nodes: the split, the gather leaf, the router.
 
-:class:`PShardGather` replaces a decomposed plan's physical root: at
-execution time it runs the partial SQL on every shard worker
-(concurrently), concatenates the partial rows into an in-memory gather
-table, and runs the combine SQL over it — producing the exact chunk the
-local plan would have.
+:func:`split_aggregate` splits a compiled plan's aggregate into ordinary
+aggregate lists that the unchanged
+:class:`~repro.db.plan.physical.PAggregate` kernel computes:
 
-Correctness notes:
+=========  ======================  ===================================
+aggregate  per-shard partial       parent merge
+=========  ======================  ===================================
+COUNT      ``COUNT(x)``            ``SUM`` of the counts
+MIN/MAX    ``MIN(x)``/``MAX(x)``   ``MIN``/``MAX``
+SUM(int)   ``SUM(x)``              ``SUM``
+AVG(int)   ``SUM(x)``, ``COUNT``   ``SUM`` of each, then sum ÷ count
+=========  ======================  ===================================
 
-* ``signature_source`` stays ``None``, so the recycler never caches a
-  gathered result in the parent.  The parent does not observe worker-
-  side file rewrites for decomposed queries (each worker runs its own
-  staleness checks on every execution), so parent-side caching could
-  serve stale data.  Workers have their own plan and extraction caches,
-  which is where repeat-query economics live.
-* The combine runs in a **fresh scratch Database per execution**: one
-  cached plan serves concurrent sessions, so a shared mutable gather
-  table would race.
-* The inner (single-process) plan is kept as the node's child — EXPLAIN
-  shows the full scattered plan beneath the gather — and as the cached
-  entry's ``physical_local``, which keeps ``query_rowpath`` an
-  independent single-process oracle even on a sharded warehouse.
+SUM and AVG decompose only over BIGINT arguments: float64 addition of
+integers is exact below 2**53, so re-summing per-shard sums reproduces
+the single-process result bit for bit.  DISTINCT aggregates, STDDEV,
+MEDIAN and floating-point sums do not decompose; those statements run
+the parent's own plan with only *extraction* scattered to the owning
+shards, which is bit-exact by construction.
 
-:class:`ShardRouter` hooks :meth:`Database._compile_sql`: on every plan-
-cache miss it decides whether the fresh entry decomposes, validates the
-generated SQL by *binding it* (partial against the parent catalog,
-combine against a scratch gather catalog, output dtypes against the
-local plan), and wraps the entry if — and only if — everything lines up.
+Parent and worker compile the same statement text, so their aggregate
+lists and parameter slots agree.  :meth:`ShardRouter.route` replaces
+the parent's aggregate with the merge (plus the AVG projection) over a
+:class:`PShardGather` leaf and keeps every operator above it as
+compiled.  The leaf ships the text and the active parameter values to
+every worker, which runs :func:`partial_plan` over its shard.  The merge
+kernel orders groups by sorted key values, so shard arrival order never
+shows in the result.
+
+Neither the leaf nor the merge has a recycler signature: workers check
+staleness on every execution, unseen by the parent, so the parent never
+caches a gathered result (workers recycle their partials instead).  The
+single-process plan stays the cached entry's ``physical_local``, which
+keeps ``query_rowpath`` an independent oracle on a sharded warehouse.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.db import expr as ex
 from repro.db.column import Column
-from repro.db.plan.logical import bind_select
-from repro.db.plan.physical import Chunk, ExecutionContext, PhysicalNode
-from repro.db.sql.parser import parse_statement
-from repro.db.table import ColumnSpec, TableSchema
-from repro.db.types import DataType
-from repro.shard.decompose import (
-    GATHER_TABLE,
-    ShardPlan,
-    decompose_select,
-    exact_sum_columns,
+from repro.db.plan import logical as lg
+from repro.db.plan.physical import (
+    Chunk,
+    ExecutionContext,
+    PAggregate,
+    PhysicalNode,
+    PProject,
+    build_physical,
 )
+from repro.db.sql import ast
+from repro.db.types import DataType
+from repro.errors import ShardError
 from repro.shard.executor import ShardedExtractor
 
-logger = logging.getLogger("repro.shard")
+# The merge aggregate of each partial state.
+_MERGE = {"count": "sum", "min": "min", "max": "max", "sum": "sum"}
+# Operators that may sit between a plan's root and its aggregate.
+_ABOVE_AGGREGATE = (lg.LFilter, lg.LProject, lg.LSort, lg.LLimit,
+                    lg.LDistinct)
 
 
-def _fresh_combine_db():
-    """A scratch engine holding only the gather table's schema."""
-    from repro.db.exec.engine import Database
+@dataclass
+class AggregateSplit:
+    """One aggregate split into a per-shard partial and a parent merge."""
 
-    db = Database(enable_recycler=False, plan_cache_size=0)
-    return db
+    local: lg.LAggregate  # the single-process aggregate being split
+    partial: lg.LAggregate  # over the original child, on every shard
+    merge: lg.LAggregate  # over the gathered partial rows, in the parent
+    finish: Optional[lg.LProject]  # AVG = sum / count; None without AVG
 
 
-def _create_gather_table(db, gather_columns) -> None:
-    db.catalog.create_schema(GATHER_TABLE[0], if_not_exists=True)
-    db.catalog.create_table(
-        GATHER_TABLE,
-        TableSchema(columns=[ColumnSpec(name=name, dtype=dtype)
-                             for name, dtype in gather_columns]),
+def split_aggregate(plan: lg.LogicalNode) -> Optional[AggregateSplit]:
+    """Split the aggregate under ``plan``'s post-aggregation operators
+    into partial and merge aggregate lists; None when there is no such
+    aggregate or some aggregate has no exact partial form."""
+    agg = plan
+    while isinstance(agg, _ABOVE_AGGREGATE):
+        agg = agg.child
+    if not isinstance(agg, lg.LAggregate):
+        return None
+    # Negative cids: never handed out by the binder, so the partial
+    # columns can never shadow a column of the surrounding plan.
+    fresh = itertools.count(-1, -1)
+    n_groups = len(agg.group_exprs)
+    partial_cols = [lg.OutCol(next(fresh), col.name, col.dtype)
+                    for col in agg.output[:n_groups]]
+    merge_cols = list(agg.output[:n_groups])
+    partial_aggs: list[ex.AggCall] = []
+    merge_aggs: list[ex.AggCall] = []
+    finish: list[ex.Expr] = [_ref(col) for col in merge_cols]
+
+    def state(call: ex.AggCall, name: str,
+              out: Optional[lg.OutCol] = None) -> ex.BoundRef:
+        """Add one partial state and its merge; returns the merged ref."""
+        gathered = lg.OutCol(next(fresh), name, call.dtype)
+        partial_cols.append(gathered)
+        partial_aggs.append(call)
+        merged = out or lg.OutCol(next(fresh), name, call.dtype)
+        merge_cols.append(merged)
+        merge_aggs.append(ex.AggCall(name=_MERGE[call.name],
+                                     arg=_ref(gathered), dtype=call.dtype))
+        return _ref(merged)
+
+    for call, out in zip(agg.aggregates, agg.output[n_groups:]):
+        if call.distinct or call.name not in ("count", "min", "max", "sum",
+                                              "avg"):
+            return None
+        if call.name in ("sum", "avg") and \
+                call.arg.dtype is not DataType.BIGINT:
+            return None
+        if call.name != "avg":
+            finish.append(state(call, out.name, out))
+            continue
+        total = state(ex.AggCall(name="sum", arg=call.arg,
+                                 dtype=DataType.BIGINT), f"{out.name}.sum")
+        count = state(ex.AggCall(name="count", arg=call.arg,
+                                 dtype=DataType.BIGINT), f"{out.name}.count")
+        finish.append(ex.BinOp(op="/", left=total, right=count,
+                               dtype=DataType.DOUBLE))
+
+    partial = lg.LAggregate(child=agg.child, group_exprs=agg.group_exprs,
+                            aggregates=partial_aggs, output=partial_cols)
+    merge = lg.LAggregate(
+        child=partial, group_exprs=[_ref(c) for c in partial_cols[:n_groups]],
+        aggregates=merge_aggs, output=merge_cols)
+    has_avg = len(merge_cols) > len(agg.output)  # AVG merges two states
+    return AggregateSplit(
+        local=agg, partial=partial, merge=merge,
+        finish=lg.LProject(child=merge, exprs=finish, output=agg.output)
+        if has_avg else None,
     )
 
 
-class PShardGather(PhysicalNode):
-    """Scatter partial SQL to every shard, gather, combine, return."""
+def _ref(col: lg.OutCol) -> ex.BoundRef:
+    return ex.BoundRef(cid=col.cid, dtype=col.dtype, name=col.name)
 
-    def __init__(self, schema, inner: PhysicalNode, plan: ShardPlan,
-                 gather_columns: "list[tuple[str, DataType]]",
+
+def partial_plan(entry, recycler):
+    """The worker half: ``entry`` (a compiled plan-cache entry) with its
+    aggregate replaced by the per-shard partial, ready to run."""
+    split = split_aggregate(entry.optimized)
+    if split is None:
+        raise ShardError("statement has no shard-decomposable aggregate")
+    return dataclasses.replace(
+        entry, optimized=split.partial,
+        physical=build_physical(split.partial, recycler))
+
+
+class PShardGather(PhysicalNode):
+    """Leaf: run the statement's partial aggregate on every shard and
+    concatenate the partial states."""
+
+    def __init__(self, schema: "list[lg.OutCol]", sql: str,
                  executor: ShardedExtractor) -> None:
         super().__init__(schema)
-        self.inner = inner
-        self.plan = plan
-        self.gather_columns = gather_columns
+        self.sql = sql
         self.executor = executor
 
-    def children(self) -> "list[PhysicalNode]":
-        return [self.inner]
-
     def describe(self) -> str:
+        cols = ", ".join(col.name for col in self.schema)
         return (f"ShardGather shards={self.executor.n_shards} "
-                f"gather_cols={len(self.gather_columns)}")
-
-    def _params(self) -> "tuple[dict | None, dict | None]":
-        values = ex.current_param_values() or {}
-        remap = {f"s{slot}": value for slot, value in values.items()}
-        partial = ({name: remap[name]
-                    for name in self.plan.partial_param_names}
-                   if self.plan.partial_param_names else None)
-        combine = ({name: remap[name]
-                    for name in self.plan.combine_param_names}
-                   if self.plan.combine_param_names else None)
-        return partial, combine
+                f"partials=[{cols}]")
 
     def _batches(self, ctx: ExecutionContext):
-        partial_params, combine_params = self._params()
-        shard_results = self.executor.query_all(self.plan.partial_sql,
-                                                partial_params)
+        shard_results = self.executor.partial_all(self.sql,
+                                                  ex.current_param_values())
         for shard_id, (result, report) in enumerate(shard_results):
             # Fold worker-side counters into this execution's context so
             # the session report covers work done anywhere.
-            ctx.rows_extracted += report.get("rows_extracted", 0)
-            ctx.pages_read += report.get("pages_read", 0)
-            ctx.pages_skipped += report.get("pages_skipped", 0)
-            ctx.pages_skipped_zone += report.get("pages_skipped_zone", 0)
+            ctx.rows_extracted += report["rows_extracted"]
+            ctx.pages_read += report["pages_read"]
+            ctx.pages_skipped += report["pages_skipped"]
+            ctx.pages_skipped_zone += report["pages_skipped_zone"]
             ctx.trace.append({
                 "op": "shard_partial",
                 "shard": shard_id,
                 "rows": result.row_count,
-                "rows_extracted": report.get("rows_extracted", 0),
-                "rows_extracted_here": report.get("rows_extracted_here", 0),
-                "rows_coalesced": report.get("rows_coalesced", 0),
-                "rows_served_eager": report.get("rows_served_eager", 0),
-                "seconds": round(report.get("execute_s", 0.0), 4),
+                "rows_extracted": report["rows_extracted"],
+                "rows_extracted_here": report["rows_extracted_here"],
+                "rows_coalesced": report["rows_coalesced"],
+                "rows_served_eager": report["rows_served_eager"],
+                "seconds": round(report["execute_s"], 4),
             })
-
-        gathered: dict[str, Column] = {}
-        for index, (name, _dtype) in enumerate(self.gather_columns):
-            gathered[name] = Column.concat(
-                [result.columns[index] for result, _report in shard_results])
-
-        combine_db = _fresh_combine_db()
-        _create_gather_table(combine_db, self.gather_columns)
-        combine_db.bulk_insert(GATHER_TABLE, gathered)
-        combined = combine_db.query(self.plan.combine_sql, combine_params)
-        ctx.trace.append({"op": "shard_combine",
-                          "partial_rows": sum(r.row_count
-                                              for r, _rep in shard_results),
-                          "rows": combined.row_count})
-        if combined.row_count:
+        length = sum(result.row_count for result, _report in shard_results)
+        if length:
             yield Chunk(
-                columns={out.cid: combined.columns[i]
-                         for i, out in enumerate(self.schema)},
-                length=combined.row_count,
+                columns={col.cid: Column.concat(
+                    [result.columns[i] for result, _report in shard_results])
+                    for i, col in enumerate(self.schema)},
+                length=length,
             )
 
 
@@ -154,79 +209,41 @@ class ShardRouter:
         self.decomposed = 0
         self.fallbacks = 0
 
-    def _eligible(self, entry) -> bool:
+    def route(self, entry, sql: str, recycler):
+        """``entry`` with its aggregate scattered to the shards, or
+        ``entry`` unchanged when the statement does not decompose."""
         # Only plans that touch the lazy data table (and nothing outside
         # the sharded schema) scatter; metadata-only and sys.* queries
         # stay parent-local — the parent holds full metadata.
-        return (self.lazy_table in entry.tables
-                and entry.tables <= self.allowed_tables)
-
-    def _validated_plan(self, db, stmt
-                        ) -> "tuple[ShardPlan, list] | None":
-        plan = decompose_select(stmt)
-        if plan is None:
-            return None
-        partial_stmt = parse_statement(plan.partial_sql)
-        bound = bind_select(db.catalog, partial_stmt)
-        gather_columns = [(col.name, col.dtype) for col in bound.output]
-        # SUM/AVG decompose only over exact integer addition: a partial
-        # sum that binds DOUBLE would re-associate float rounding.
-        exact = set(exact_sum_columns(plan))
-        for name, dtype in gather_columns:
-            if name in exact and dtype is not DataType.BIGINT:
-                return None
-        scratch = _fresh_combine_db()
-        _create_gather_table(scratch, gather_columns)
-        combine_stmt = parse_statement(plan.combine_sql)
-        combine_bound = bind_select(scratch.catalog, combine_stmt)
-        return plan, gather_columns, combine_bound
-
-    def maybe_shard(self, db, entry):
-        """Wrap a fresh plan-cache entry if it decomposes; else return it
-        unchanged.  Never raises — any surprise falls back local."""
-        try:
-            if not self._eligible(entry):
-                return entry
-            validated = self._validated_plan(db, entry.stmt)
-            if validated is None:
-                self.fallbacks += 1
-                return entry
-            plan, gather_columns, combine_bound = validated
-            outer = entry.optimized.output
-            if len(combine_bound.output) != len(outer) or any(
-                    got.dtype is not want.dtype
-                    for got, want in zip(combine_bound.output, outer)):
-                logger.debug("shard fallback: combine output mismatch "
-                             "for %s", plan.combine_sql)
-                self.fallbacks += 1
-                return entry
-            gather = PShardGather(outer, entry.physical, plan,
-                                  gather_columns, self.executor)
-            self.decomposed += 1
-            return dataclasses.replace(entry, physical=gather,
-                                       physical_local=entry.physical)
-        except Exception:
-            logger.debug("shard decomposition failed; running locally",
-                         exc_info=True)
+        if not (self.lazy_table in entry.tables
+                and entry.tables <= self.allowed_tables):
+            return entry
+        # Shards partition the files, so one table or view (the per-file
+        # join of the lazy view) partitions with them; separate FROM
+        # items or subqueries could pair rows that live on two shards.
+        stmt = entry.stmt
+        split = (split_aggregate(entry.optimized)
+                 if len(stmt.from_items) == 1
+                 and isinstance(stmt.from_items[0], ast.TableRef) else None)
+        if split is None:
             self.fallbacks += 1
             return entry
+        merged: PhysicalNode = PAggregate(
+            split.merge,
+            PShardGather(split.partial.output, sql, self.executor))
+        if split.finish is not None:
+            merged = PProject(split.finish, merged)
+        self.decomposed += 1
+        return dataclasses.replace(
+            entry,
+            physical=build_physical(entry.optimized, recycler,
+                                    substitute=(split.local, merged)),
+            physical_local=entry.physical)
 
-    def explain_section(self, db, stmt) -> "Optional[str]":
-        """The EXPLAIN extra: shard fan-out for decomposable statements,
-        a scattered-extraction note for the rest."""
-        try:
-            validated = self._validated_plan(db, stmt)
-        except Exception:
-            validated = None
-        n = self.executor.n_shards
-        if validated is None:
-            return (f"== sharded execution ({n} shards) ==\n"
-                    f"single plan; extraction scattered to owning shards")
-        plan = validated[0]
-        return "\n".join([
-            f"== sharded execution ({n} shards) ==",
-            f"scatter (per shard): {plan.partial_sql}",
-            f"gather: {'.'.join(GATHER_TABLE)}"
-            f"[{', '.join(name for name, _dt in validated[1])}]",
-            f"combine: {plan.combine_sql}",
-        ])
+    def explain_section(self, routed: bool) -> str:
+        """The EXPLAIN extra: how this statement runs across the shards."""
+        how = ("partial aggregate on every shard, merged here (ShardGather)"
+               if routed else
+               "single plan; extraction scattered to owning shards")
+        return (f"== sharded execution ({self.executor.n_shards} shards) "
+                f"==\n{how}")

@@ -9,14 +9,18 @@ serves a tiny command loop over the control pipe:
 
 ``ping``
     liveness + identity (pid, file count).
-``query``
-    run a partial SELECT against the shard warehouse; the result ships
-    as a codec-encoded batch (:mod:`repro.net.frames`) through shared
-    memory, plus the worker-side :class:`QueryReport` counters.
+``partial``
+    compile the parent's statement text through the shard's own plan
+    cache and run its partial aggregate
+    (:func:`~repro.shard.gather.partial_plan`) over the shard, with the
+    parent's parameter values keyed by slot; the partial states ship as
+    a codec-encoded batch (:mod:`repro.net.frames`) through shared
+    memory, plus the worker-side :class:`QueryReport` as ``to_dict()``.
 ``extract``
-    decode specific records of one owned file (the remote half of the
-    parent's ``LazyDataBinding._extract_direct``); pieces ship codec-
-    encoded through shared memory.
+    decode specific records of one owned file
+    (``LazyDataBinding.fetch_file``, the remote half of the parent's
+    scattered extraction); pieces ship codec-encoded through shared
+    memory.
 ``stats``
     live cache snapshot + served-command counters (tests and
     ``sys.shards``).
@@ -39,12 +43,6 @@ import traceback
 from repro.etl.metadata import Granularity
 from repro.shard.partition import ShardRepositoryView
 from repro.shard.transport import INLINE_LIMIT, BlobShipper, encode_pieces
-
-_REPORT_KEYS = (
-    "rows_out", "rows_extracted", "rows_extracted_here", "rows_coalesced",
-    "rows_served_eager", "promotions", "pages_read", "pages_skipped",
-    "pages_skipped_zone", "operators_run", "execute_s", "plan_cache_hit",
-)
 
 
 class _ShardServer:
@@ -72,8 +70,8 @@ class _ShardServer:
         if cmd == "ping":
             return {"ok": True, "pid": os.getpid(),
                     "files": len(self.spec["uris"])}
-        if cmd == "query":
-            return self._query(message)
+        if cmd == "partial":
+            return self._partial(message)
         if cmd == "extract":
             return self._extract(message)
         if cmd == "stats":
@@ -89,27 +87,35 @@ class _ShardServer:
             return {"ok": True, "freed": freed}
         raise ValueError(f"unknown shard command {cmd!r}")
 
-    def _query(self, message: dict) -> dict:
+    def _partial(self, message: dict) -> dict:
+        from repro.db.exec.engine import StreamingQuery
         from repro.net.frames import encode_result_batch
+        from repro.shard.gather import partial_plan
 
         self.queries += 1
-        run = self.warehouse.db.open_query(message["sql"],
-                                           message.get("params"))
-        result, report = run.drain(), run.report
-        payload = encode_result_batch(0, result)
+        db = self.warehouse.db
+        _kind, entry, report = db._compile_sql(message["sql"])
+        # Slot-keyed values back into the caller's shape: positional
+        # slots are 0..n-1, named slots are the names.
+        values = message["params"]
+        params = ([values[slot] for slot in range(len(values))]
+                  if entry.spec.style == "positional" else values)
+        run = StreamingQuery(db, partial_plan(entry, db.recycler),
+                             message["sql"], params, report, None)
+        result = run.drain()
         return {
             "ok": True,
             "names": result.names,
             "rows": result.row_count,
-            "blob": self.shipper.ship(payload),
-            "report": {key: getattr(report, key) for key in _REPORT_KEYS},
+            "blob": self.shipper.ship(encode_result_batch(0, result)),
+            "report": run.report.to_dict(),
         }
 
     def _extract(self, message: dict) -> dict:
         self.extracts += 1
         binding = self.warehouse.pipeline.binding
         trace: list[dict] = []
-        pieces = binding._fetch_file(
+        pieces = binding.fetch_file(
             message["uri"],
             [int(seq) for seq in message["seqs"]],
             list(message["data_cols"]),

@@ -13,7 +13,8 @@ names/types/constraints), row count and segment file, plus free-form
 extraction-cache snapshot directory.  Commits write ``manifest.json.tmp``
 then ``os.replace`` it over the manifest — a crash before the rename
 leaves the previous manifest fully intact (tested by the crash
-simulation in ``tests/test_storage.py``).
+simulation in ``tests/test_storage.py``) — and fsync the directory, so
+the renames themselves survive a crash.
 
 Segment files carry a monotone *generation* in their name so an
 overwritten table gets a fresh path: buffer-pool keys embed the path,
@@ -183,7 +184,20 @@ class TableStore:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.manifest_path)
+            self._sync_root()
             self._sweep_orphans()
+
+    def _sync_root(self) -> None:
+        """fsync the store directory so the renames it holds survive a
+        crash: segments live beside the manifest, so one sync covers the
+        manifest's rename and every segment renamed before it."""
+        if not hasattr(os, "O_DIRECTORY"):
+            return  # no directory descriptors (Windows)
+        fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def _live_segments(self) -> set[str]:
         live = {entry["segment"] for entry in self._manifest["tables"].values()}

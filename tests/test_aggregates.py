@@ -1,6 +1,7 @@
 """Aggregate execution tests, including nulls, DISTINCT and empty inputs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ def test_aggregates_skip_nulls(db):
 def test_min_max_varchar(db):
     row = db.query("SELECT MIN(grp), MAX(grp) FROM m").first()
     assert row == ("a", "b")
+
+
+def test_min_max_of_all_null_integer_group_casts_cleanly():
+    """An all-NULL group's MIN/MAX reduces to the ±inf sentinel; the
+    kernel must not cast that into an integer column."""
+    database = Database()
+    database.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+    database.execute("INSERT INTO t VALUES (1, NULL), (1, NULL), (2, 5)")
+    sql = "SELECT k, MIN(v), MAX(v) FROM t GROUP BY k"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = database.query(sql).rows()
+    expected, _report, _trace = database.query_rowpath(sql)
+    assert rows == expected.rows() == [(1, None, None), (2, 5, 5)]
 
 
 def test_count_distinct_and_sum_distinct(db):

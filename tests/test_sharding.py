@@ -2,10 +2,12 @@
 
 The load-bearing guarantee is bit-exactness: a sharded warehouse must
 answer every query identically to the single-process engine — decomposed
-aggregates (per-shard partials + combine) and scattered-extraction
+aggregates (per-shard partials + parent merge) and scattered-extraction
 queries alike.  The differential oracle enforces it three ways at once,
 because ``query_rowpath`` runs the preserved single-process plan while
-``query``/``open_query`` run the sharded one.
+``query``/``open_query`` run the sharded one.  Every corpus entry also
+pins the router's decision, so coverage can never silently shrink to
+"everything falls back".
 """
 
 from __future__ import annotations
@@ -23,8 +25,48 @@ from repro.seismology.queries import analytical_suite, fig1_query1, \
 from repro.seismology.warehouse import SeismicWarehouse
 from repro.shard.partition import ShardMap
 
-CORPUS = [("fig1_q1", fig1_query1()), ("fig1_q2", fig1_query2())] + [
-    (spec.qid, spec.sql) for spec in analytical_suite()
+DECOMPOSED, FALLBACK, PARENT_LOCAL = "decomposed", "fallback", "parent-local"
+_SUITE_ROUTES = {"Q4": FALLBACK, "Q7": FALLBACK, "Q8": PARENT_LOCAL}
+
+# (qid, sql, params, the router's decision)
+CORPUS = [
+    ("fig1_q1", fig1_query1(), None, DECOMPOSED),
+    ("fig1_q2", fig1_query2(), None, DECOMPOSED),
+] + [
+    (spec.qid, spec.sql, None, _SUITE_ROUTES.get(spec.qid, DECOMPOSED))
+    for spec in analytical_suite()
+] + [
+    ("window_positional",
+     "SELECT F.station, COUNT(*) AS n, MIN(D.sample_value) AS lo, "
+     "SUM(D.sample_value) AS total FROM mseed.dataview "
+     "WHERE F.channel = ? AND D.sample_time >= ? AND D.sample_time < ? "
+     "GROUP BY F.station",
+     ["BHZ", "2010-01-12T22:15:00.000", "2010-01-12T22:15:30.000"],
+     DECOMPOSED),
+    ("avg_named",
+     "SELECT AVG(D.sample_value) AS mean FROM mseed.dataview "
+     "WHERE F.station = :station AND F.channel = :channel",
+     {"station": "ISK", "channel": "BHE"}, DECOMPOSED),
+    ("having_order_limit",
+     "SELECT F.station, F.channel, COUNT(*) AS n, "
+     "MAX(D.sample_value) AS mx FROM mseed.dataview "
+     "GROUP BY F.station, F.channel HAVING COUNT(*) > 10 "
+     "ORDER BY mx DESC LIMIT 3 OFFSET 1", None, DECOMPOSED),
+    ("empty_selection",
+     "SELECT COUNT(*) AS n, MIN(D.sample_value) AS lo, "
+     "SUM(D.sample_value) AS total, AVG(D.sample_value) AS mean "
+     "FROM mseed.dataview WHERE F.station = 'NOPE'", None, DECOMPOSED),
+    ("expressions_over_aggregates",
+     "SELECT F.station, MAX(D.sample_value) - MIN(D.sample_value) AS spread, "
+     "COUNT(D.sample_value) * 2 AS twice FROM mseed.dataview "
+     "GROUP BY F.station", None, DECOMPOSED),
+    ("distinct_over_groups",
+     "SELECT DISTINCT F.network, COUNT(*) AS n FROM mseed.dataview "
+     "GROUP BY F.network, F.station", None, DECOMPOSED),
+    ("group_by_expression",
+     "SELECT F.station || '.' || F.channel AS stream, COUNT(*) AS n "
+     "FROM mseed.dataview GROUP BY F.station || '.' || F.channel",
+     None, DECOMPOSED),
 ]
 
 
@@ -47,6 +89,16 @@ def sharded3(demo_repo):
     wh = SeismicWarehouse(demo_repo.root, mode="lazy", shards=3)
     yield wh
     wh.close()
+
+
+def _route(wh, sql):
+    """The router's decision for ``sql``, read off its counters."""
+    router = wh.db.shard_router
+    before = (router.decomposed, router.fallbacks)
+    wh.db.explain(sql)  # compiles (and routes) outside the plan cache
+    delta = (router.decomposed - before[0], router.fallbacks - before[1])
+    return {(1, 0): DECOMPOSED, (0, 1): FALLBACK,
+            (0, 0): PARENT_LOCAL}[delta]
 
 
 def _rewrite_file(entry, offset=1000):
@@ -89,22 +141,26 @@ def test_shard_map_range_partition_is_contiguous():
 
 @pytest.mark.oracle
 @pytest.mark.parametrize("fixture", ["sharded2", "sharded3"])
-@pytest.mark.parametrize("qid,sql", CORPUS)
-def test_sharded_differential_oracle(request, fixture, qid, sql):
+@pytest.mark.parametrize("qid,sql,params,route", CORPUS)
+def test_sharded_differential_oracle(request, fixture, qid, sql, params,
+                                     route):
     """Vectorised (sharded), streamed (sharded) and rowpath (preserved
     single-process plan) agree bit-for-bit on the whole corpus."""
     from oracle import run_differential
 
     wh = request.getfixturevalue(fixture)
-    run_differential(wh.db, sql)
+    assert _route(wh, sql) == route, qid
+    run_differential(wh.db, sql, params)
 
 
-@pytest.mark.parametrize("qid,sql", CORPUS)
-def test_sharded_matches_single_process(baseline, sharded2, qid, sql):
+@pytest.mark.parametrize("qid,sql,params,route", CORPUS)
+def test_sharded_matches_single_process(baseline, sharded2, qid, sql,
+                                        params, route):
     from oracle import column_fingerprint
 
-    expected = baseline.query(sql)
-    got = sharded2.query(sql)
+    assert _route(sharded2, sql) == route, qid
+    expected = baseline.query(sql, params)
+    got = sharded2.query(sql, params)
     assert got.names == expected.names
     assert [column_fingerprint(c) for c in got.columns] == \
            [column_fingerprint(c) for c in expected.columns], qid
@@ -136,8 +192,18 @@ def test_decomposable_queries_scatter(sharded2):
     assert router.decomposed == before + 1
     plan = sharded2.explain(fig1_query2())
     assert "== sharded execution (2 shards) ==" in plan
-    assert "scatter (per shard):" in plan
-    assert "combine:" in plan
+    # The merge aggregate sits directly above the gather leaf.
+    physical = plan.split("== physical plan ==")[1].splitlines()
+    gather = next(i for i, line in enumerate(physical)
+                  if "ShardGather shards=2" in line)
+    assert physical[gather - 1].strip().startswith("Aggregate ")
+    assert "MIN(BoundRef(" in physical[gather - 1]
+
+
+def test_explain_analyze_times_the_routed_plan(sharded2):
+    text = sharded2.explain_analyze(fig1_query2())
+    assert "ShardGather" in text
+    assert "shard_partial" in text
 
 
 def test_non_decomposable_queries_fall_back(sharded2):

@@ -323,6 +323,34 @@ def test_manifest_crash_before_rename_preserves_old_state(tmp_path):
     assert db2.query("SELECT count(*) FROM t").columns[0].to_pylist() == [3]
 
 
+def test_commit_syncs_store_directory_after_rename(tmp_path, monkeypatch):
+    """The manifest rename (and the segment renames before it) are only
+    durable once the directory holding them is fsynced."""
+    root = tmp_path / "store"
+    db = _toy_database()
+    db.attach(root)
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        stat = os.fstat(fd)
+        events.append(("fsync", stat.st_dev, stat.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        events.append(("replace", os.fspath(dst)))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    db.checkpoint()
+    store_dir = os.stat(root)
+    manifest = events.index(
+        ("replace", os.path.join(os.fspath(root), "manifest.json")))
+    assert ("fsync", store_dir.st_dev, store_dir.st_ino) in \
+        events[manifest + 1:]
+
+
 def test_orphan_segments_swept_on_commit(tmp_path):
     root = tmp_path / "store"
     db = _toy_database()
